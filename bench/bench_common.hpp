@@ -21,12 +21,13 @@
 #include "elt/synthetic.hpp"
 #include "obs/export.hpp"
 #include "obs/telemetry.hpp"
+#include "simd/dispatch.hpp"
 #include "yet/generator.hpp"
 
 namespace are::bench {
 
-/// Every bench dispatches through the unified front door (core::run +
-/// EngineRegistry); this helper trims the AnalysisRequest boilerplate so a
+/// Every bench dispatches through the unified front door (core::run over
+/// the engine presets); this helper trims the AnalysisRequest boilerplate so a
 /// measured series is one line per config.
 inline core::YearLossTable run(const core::Portfolio& portfolio,
                                const yet::YearEventTable& yet_table,
@@ -123,18 +124,10 @@ inline std::string build_metadata_json() {
 #else
       "unknown";
 #endif
-  std::string simd;
-  for (const core::SimdExtension extension :
-       {core::SimdExtension::kScalar, core::SimdExtension::kSse2, core::SimdExtension::kAvx2,
-        core::SimdExtension::kAvx512, core::SimdExtension::kNeon}) {
-    if (!core::simd_extension_available(extension)) continue;
-    if (!simd.empty()) simd += ",";
-    simd += to_string(extension);
-  }
   std::string meta = "{\"compiler\": \"" + compiler + "\"";
-  meta += ", \"simd_extensions\": \"" + simd + "\"";
+  meta += ", \"simd_extensions\": \"" + simd::describe_mask(simd::runnable_extensions()) + "\"";
   meta += ", \"best_simd_extension\": \"" +
-          std::string(to_string(core::best_simd_extension())) + "\"";
+          std::string(simd::name_of(simd::best_extension())) + "\"";
   meta += ", \"hardware_threads\": " + std::to_string(std::thread::hardware_concurrency());
   meta += std::string(", \"telemetry_enabled\": ") + (obs::enabled() ? "true" : "false");
   meta += ", \"full_scale\": " + std::string(full_scale() ? "true" : "false");

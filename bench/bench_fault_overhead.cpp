@@ -31,7 +31,7 @@ double measure(const core::Portfolio& portfolio, const yet::YearEventTable& yet_
   double best = 1e300;
   for (int pass = 0; pass < 3; ++pass) {
     const auto start = Clock::now();
-    (void)bench::run(portfolio, yet_table, {.engine_name = "fused"});
+    (void)bench::run(portfolio, yet_table, {.engine = core::EngineKind::kFused});
     best = std::min(best, std::chrono::duration<double>(Clock::now() - start).count());
   }
   return best;

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "core/engine_registry.hpp"
 #include "perfmodel/cpu_model.hpp"
 #include "simgpu/kernel_model.hpp"
 
@@ -23,9 +22,9 @@ using bench::Scale;
 
 const Scale kScale = Scale::current();
 
-/// One measured series per registered bit-identical engine: the sweep is a
-/// loop over the EngineRegistry, so a backend registered there shows up
-/// here with zero bench changes.
+/// One measured series per bit-identical engine preset: the sweep is a
+/// loop over core::kEnginePresets, so a new preset shows up here with zero
+/// bench changes.
 void summary_measured(benchmark::State& state, const core::AnalysisConfig& config) {
   static const yet::YearEventTable yet_table =
       bench::make_yet(kScale, kScale.trials, kScale.events_per_trial);
@@ -67,12 +66,11 @@ int main(int argc, char** argv) {
   if (!bench::full_scale()) {
     bench::print_note("measured series at calibrated sub-scale; ARE_BENCH_FULL=1 for paper scale");
   }
-  for (const auto& engine : core::EngineRegistry::global().descriptors()) {
-    if (!engine.bit_identical_to_sequential || !engine.available_in_this_build) continue;
+  for (const core::EnginePreset& engine : core::kEnginePresets) {
+    if (!engine.bit_identical_to_sequential) continue;
     core::AnalysisConfig config;
     config.engine = engine.kind;
-    config.engine_name = engine.name;  // exact dispatch even if kinds repeat
-    const std::string name = "fig6a/measured_" + engine.name;
+    const std::string name = "fig6a/measured_" + std::string(engine.name);
     benchmark::RegisterBenchmark(name.c_str(),
                                  [config](benchmark::State& s) { summary_measured(s, config); })
         ->Unit(benchmark::kMillisecond)

@@ -20,7 +20,6 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "core/engine_registry.hpp"
 
 namespace {
 

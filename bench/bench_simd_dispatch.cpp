@@ -4,7 +4,7 @@
 //
 //   1. Does the load-time dispatch layer cost anything? The fused kernel is
 //      measured twice on the same workload: with the extension pinned to the
-//      host's best (what a -march=native build would inline) and with kAuto
+//      host's best (what a -march=native build would inline) and with auto
 //      (the runtime cpuid decision). Acceptance: the auto path is within 2%
 //      of pinned — dispatch is a one-time function-pointer choice, not a
 //      per-trial branch.
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/simd_engine.hpp"
 #include "elt/cuckoo_table.hpp"
 #include "elt/probe_dispatch.hpp"
 #include "elt/robin_hood_table.hpp"
@@ -70,14 +69,13 @@ void bench_dispatch_overhead(bench::JsonReport& report) {
   const yet::YearEventTable yet_table =
       bench::make_yet(kCacheScale, kCacheScale.trials / 4, kCacheScale.events_per_trial);
 
-  // Pin what kAuto would resolve to on this workload (cache-resident, so no
+  // Pin what auto would resolve to on this workload (cache-resident, so no
   // regime narrowing): the host's best runnable extension.
-  const core::SimdExtension pinned = core::best_simd_extension();
+  const simd::Extension pinned = simd::best_extension();
 
   core::AnalysisConfig pinned_config{.engine = core::EngineKind::kFused};
   pinned_config.simd_extension = pinned;
-  core::AnalysisConfig auto_config{.engine = core::EngineKind::kFused};
-  auto_config.simd_extension = core::SimdExtension::kAuto;
+  const core::AnalysisConfig auto_config{.engine = core::EngineKind::kFused};
 
   const double pinned_seconds = measure_engine_seconds(portfolio, yet_table, pinned_config);
   const double auto_seconds = measure_engine_seconds(portfolio, yet_table, auto_config);
@@ -87,8 +85,8 @@ void bench_dispatch_overhead(bench::JsonReport& report) {
   bench::print_row("dispatch_overhead", "pinned_seconds", pinned_seconds, "auto_seconds",
                    auto_seconds);
   std::printf("[note] dispatch overhead: %.2f%% (pinned=%s; acceptance < 2%%)\n", overhead_pct,
-              std::string(to_string(pinned)).c_str());
-  report.add("dispatch_cache", "fused_pinned_" + std::string(to_string(pinned)), pinned_seconds,
+              std::string(simd::name_of(pinned)).c_str());
+  report.add("dispatch_cache", "fused_pinned_" + std::string(simd::name_of(pinned)), pinned_seconds,
              1.0);
   report.add("dispatch_cache", "fused_auto", auto_seconds,
              auto_seconds > 0.0 ? pinned_seconds / auto_seconds : 0.0,

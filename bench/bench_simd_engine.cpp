@@ -18,14 +18,13 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
-#include "core/simd_engine.hpp"
+#include "simd/dispatch.hpp"
 #include "simd/vec.hpp"
 
 namespace {
 
 using namespace are;
 using bench::Scale;
-using core::SimdExtension;
 
 const Scale kScale = Scale::current();
 
@@ -90,7 +89,8 @@ void engine_chunked(benchmark::State& state) {
   }
 }
 
-void engine_simd(benchmark::State& state, SimdExtension extension, bool direct) {
+void engine_simd(benchmark::State& state, std::optional<simd::Extension> extension,
+                 bool direct) {
   core::AnalysisConfig config;
   config.engine = core::EngineKind::kSimd;
   config.num_threads = 1;
@@ -100,7 +100,8 @@ void engine_simd(benchmark::State& state, SimdExtension extension, bool direct) 
     auto ylt = bench::run(portfolio, shared_yet(), config);
     benchmark::DoNotOptimize(ylt);
   }
-  state.counters["lanes"] = static_cast<double>(core::simd_lane_width(extension));
+  state.counters["lanes"] = static_cast<double>(
+      simd::lanes_of(core::resolve_simd_extension(portfolio, extension).extension));
 }
 
 void engine_sequential_cached(benchmark::State& state) {
@@ -110,7 +111,7 @@ void engine_sequential_cached(benchmark::State& state) {
   }
 }
 
-void engine_simd_cached(benchmark::State& state, SimdExtension extension) {
+void engine_simd_cached(benchmark::State& state, simd::Extension extension) {
   core::AnalysisConfig config;
   config.engine = core::EngineKind::kSimd;
   config.num_threads = 1;
@@ -119,7 +120,7 @@ void engine_simd_cached(benchmark::State& state, SimdExtension extension) {
     auto ylt = bench::run(cache_portfolio(), cache_yet(), config);
     benchmark::DoNotOptimize(ylt);
   }
-  state.counters["lanes"] = static_cast<double>(core::simd_lane_width(extension));
+  state.counters["lanes"] = static_cast<double>(simd::lanes_of(extension));
 }
 
 void engine_simd_threads(benchmark::State& state) {
@@ -131,8 +132,8 @@ void engine_simd_threads(benchmark::State& state) {
     benchmark::DoNotOptimize(ylt);
   }
   state.counters["threads"] = static_cast<double>(state.range(0));
-  state.counters["lanes"] = static_cast<double>(core::simd_lane_width(
-      core::resolve_simd_extension(direct_portfolio(), {config.num_threads, config.simd_extension})));
+  state.counters["lanes"] = static_cast<double>(simd::lanes_of(
+      core::resolve_simd_extension(direct_portfolio(), config.simd_extension).extension));
 }
 
 void engine_sequential_generic(benchmark::State& state) {
@@ -149,7 +150,7 @@ int main(int argc, char** argv) {
       "SIMD batch engine on the Fig 2a workload shape (1 layer x 15 "
       "direct-access ELTs). Two regimes: 'simd/' runs the standard catalog "
       "(tables far exceed L2 -> memory-access bound, lanes roughly tie "
-      "scalar and kAuto narrows to sse2), 'simd_cached/' runs a "
+      "scalar and auto narrows to sse2), 'simd_cached/' runs a "
       "regional-peril catalog with L2-resident tables, where AVX2 exceeds "
       "the >= 2x-over-sequential acceptance target.");
   bench::print_note(
@@ -165,23 +166,24 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("simd/parallel", engine_parallel)->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("simd/chunked", engine_chunked)->Unit(benchmark::kMillisecond);
 
-  for (const SimdExtension extension :
-       {SimdExtension::kScalar, SimdExtension::kSse2, SimdExtension::kAvx2,
-        SimdExtension::kAvx512, SimdExtension::kNeon}) {
-    if (!core::simd_extension_available(extension)) continue;
-    const std::string name = "simd/simd_" + std::string(core::to_string(extension));
-    benchmark::RegisterBenchmark(name.c_str(), engine_simd, extension, /*direct=*/true)
+  for (const simd::Extension extension :
+       {simd::Extension::kScalar, simd::Extension::kSse2, simd::Extension::kAvx2,
+        simd::Extension::kAvx512, simd::Extension::kNeon}) {
+    if (!simd::mask_has(simd::runnable_extensions(), extension)) continue;
+    const std::string name = "simd/simd_" + std::string(simd::name_of(extension));
+    benchmark::RegisterBenchmark(name.c_str(), engine_simd,
+                                 std::optional<simd::Extension>(extension), /*direct=*/true)
         ->Unit(benchmark::kMillisecond);
   }
 
   // Cache-resident ELTs: where the >= 2x acceptance target is met.
   benchmark::RegisterBenchmark("simd_cached/sequential", engine_sequential_cached)
       ->Unit(benchmark::kMillisecond);
-  for (const SimdExtension extension :
-       {SimdExtension::kScalar, SimdExtension::kSse2, SimdExtension::kAvx2,
-        SimdExtension::kAvx512, SimdExtension::kNeon}) {
-    if (!core::simd_extension_available(extension)) continue;
-    const std::string name = "simd_cached/simd_" + std::string(core::to_string(extension));
+  for (const simd::Extension extension :
+       {simd::Extension::kScalar, simd::Extension::kSse2, simd::Extension::kAvx2,
+        simd::Extension::kAvx512, simd::Extension::kNeon}) {
+    if (!simd::mask_has(simd::runnable_extensions(), extension)) continue;
+    const std::string name = "simd_cached/simd_" + std::string(simd::name_of(extension));
     benchmark::RegisterBenchmark(name.c_str(), engine_simd_cached, extension)
         ->Unit(benchmark::kMillisecond);
   }
@@ -196,8 +198,8 @@ int main(int argc, char** argv) {
   // Non-gatherable lookup path: only financial/layer phases vectorize.
   benchmark::RegisterBenchmark("simd/sequential_robinhood", engine_sequential_generic)
       ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("simd/simd_robinhood", engine_simd, SimdExtension::kAuto,
-                               /*direct=*/false)
+  benchmark::RegisterBenchmark("simd/simd_robinhood", engine_simd,
+                               std::optional<simd::Extension>(), /*direct=*/false)
       ->Unit(benchmark::kMillisecond);
 
   benchmark::Initialize(&argc, argv);

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "core/engine_registry.hpp"
 #include "shard/sharded_run.hpp"
 
 namespace {
@@ -60,20 +59,19 @@ int main(int argc, char** argv) {
   (void)guard;
 
   bench::JsonReport report;
-  for (const auto& engine : core::EngineRegistry::global().descriptors()) {
-    if (!engine.supports_sharded_output() || !engine.available_in_this_build) continue;
+  for (const core::EnginePreset& engine : core::kEnginePresets) {
     // The windowed engine without a window is seq; skip the duplicate row.
     if (engine.kind == core::EngineKind::kWindowed) continue;
+    const std::string name(engine.name);
 
     core::AnalysisConfig config;
     config.engine = engine.kind;
-    config.engine_name = engine.name;
 
     start = Clock::now();
     auto materialized = core::run({portfolio, yet_table, config});
     const double materialized_seconds = seconds_since(start);
     guard = materialized.at(0, 0);
-    report.add(workload, engine.name + "_materialized", materialized_seconds,
+    report.add(workload, name + "_materialized", materialized_seconds,
                materialized_seconds > 0.0 ? seq_seconds / materialized_seconds : 0.0);
 
     // Sharded, unlimited budget: pure sink/emit overhead.
@@ -83,7 +81,7 @@ int main(int argc, char** argv) {
     {
       auto sharded = shard::run_sharded({portfolio, yet_table, config});
       const double sharded_seconds = seconds_since(start);
-      report.add(workload, engine.name + "_sharded_unlimited", sharded_seconds,
+      report.add(workload, name + "_sharded_unlimited", sharded_seconds,
                  sharded_seconds > 0.0 ? seq_seconds / sharded_seconds : 0.0,
                  store_extra(sharded.stats()));
     }
@@ -94,14 +92,14 @@ int main(int argc, char** argv) {
     auto sharded = shard::run_sharded({portfolio, yet_table, config});
     const double sharded_seconds = seconds_since(start);
     const shard::ShardStoreStats stats = sharded.stats();
-    report.add(workload, engine.name + "_sharded_budget", sharded_seconds,
+    report.add(workload, name + "_sharded_budget", sharded_seconds,
                sharded_seconds > 0.0 ? seq_seconds / sharded_seconds : 0.0,
                store_extra(stats));
     bench::print_row("sink_engines", "engine", 0.0,
-                     (engine.name + "_sharded_budget_seconds").c_str(), sharded_seconds);
+                     (name + "_sharded_budget_seconds").c_str(), sharded_seconds);
     if (stats.spills == 0) {
       std::fprintf(stderr, "bench_sink_engines: engine '%s' never spilled under the budget\n",
-                   engine.name.c_str());
+                   name.c_str());
       return 1;
     }
   }

@@ -1,35 +1,34 @@
 #pragma once
 
-// Unified engine API — the single front door to the aggregate-analysis
-// engines. The paper's contribution is one algorithm mapped onto many
-// execution strategies; this header makes that literal: callers build an
-// AnalysisRequest (portfolio + YET + AnalysisConfig) and call run(). Which
-// strategy executes is data (EngineKind in the config, resolved through the
-// EngineRegistry), not a choice of free function, so an
+// Unified engine API — the single front door to the aggregate analysis.
+// The paper's contribution is one algorithm mapped onto many execution
+// strategies; this header makes that literal: every engine name is a row
+// of the constant kEnginePresets table, i.e. a fixed parameterisation of
+// the one trial-block kernel (core/trial_kernel.hpp) — a KernelLaunch
+// schedule plus a few bits saying which AnalysisConfig knobs feed the
+// kernel. Callers build an AnalysisRequest (portfolio + YET +
+// AnalysisConfig) and call run(); which strategy executes is data, so an
 // engines x window x instrumentation sweep is a loop over configs.
 //
-// The legacy run_sequential / run_parallel / run_chunked / run_openmp /
-// run_simd / run_windowed / run_instrumented entry points remain as the
-// engine implementations; outside src/core they should only appear in
-// equivalence tests that pin the new API against them.
+// run_sequential (core/engine.hpp) remains as the bit-identity reference
+// that equivalence tests pin the presets against.
 
+#include <array>
 #include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
 
 #include "core/cancel.hpp"
+#include "core/coverage_window.hpp"
 #include "core/engine.hpp"
-#include "core/simd_engine.hpp"
-#include "core/windowed_engine.hpp"
+#include "core/trial_kernel.hpp"
+#include "simd/dispatch.hpp"
 
 namespace are::core {
 
-class GroundUpLossCache;  // core/trial_kernel.hpp
-
-/// Every execution strategy the registry knows about. The enumerators are
-/// stable identifiers; their canonical string names (used by the CLI and
-/// config files) live in the EngineRegistry descriptors.
+/// Every engine name. The enumerators are stable identifiers; their
+/// canonical string names live in kEnginePresets.
 enum class EngineKind {
   kSequential = 0,  ///< reference implementation, the bit-identity anchor
   kParallel,        ///< thread-pool trial parallelism (paper's multi-core)
@@ -41,36 +40,121 @@ enum class EngineKind {
   kFused,           ///< trial-tiled single-pass engine: all layers per tile
 };
 
-/// Canonical name of the engine kind ("seq", "parallel", ...). Matches the
-/// registry descriptor's name.
+/// One engine name as a constant kernel parameterisation. Every preset
+/// applies AnalysisConfig::window, collect_phases, tile_trials, delta
+/// capture/replay, cancellation, and sharded output the same way (they are
+/// kernel features); a preset only fixes how blocks are scheduled and which
+/// engine-specific knobs reach the kernel.
+struct EnginePreset {
+  EngineKind kind = EngineKind::kSequential;
+  /// Canonical name for the CLI and configs ("seq", "parallel", ...).
+  std::string_view name;
+  /// One-line description for list-engines.
+  std::string_view summary;
+  KernelLaunch::Schedule schedule = KernelLaunch::Schedule::kSerial;
+  /// Runs the resolved SIMD lane type (AnalysisConfig::simd_extension,
+  /// see resolve_simd_extension) instead of scalar lanes.
+  bool lanes = false;
+  /// Stages AnalysisConfig::chunk_size events at a time (Fig 5a's knob).
+  bool event_chunks = false;
+  /// Always fills the Fig-6b breakdown, as if collect_phases were set.
+  bool instrument = false;
+  /// YLT is byte-for-byte equal to kSequential's for any full-year request
+  /// — the contract CI enforces by diffing CSVs against seq. False only
+  /// for windowed, whose purpose is a mid-year window.
+  bool bit_identical_to_sequential = true;
+
+  /// Pool and costed schedules run on a borrowed AnalysisConfig::pool;
+  /// serial and OpenMP schedules own their threads and reject one.
+  constexpr bool accepts_pool() const noexcept {
+    return schedule == KernelLaunch::Schedule::kPool ||
+           schedule == KernelLaunch::Schedule::kCosted;
+  }
+};
+
+/// The engine names, in list-engines order.
+inline constexpr std::array<EnginePreset, 8> kEnginePresets{{
+    {.kind = EngineKind::kSequential,
+     .name = "seq",
+     .summary = "sequential reference engine (the bit-identity anchor)"},
+    {.kind = EngineKind::kParallel,
+     .name = "parallel",
+     .summary = "thread-pool trial parallelism (static/dynamic/guided partition)",
+     .schedule = KernelLaunch::Schedule::kPool},
+    {.kind = EngineKind::kChunked,
+     .name = "chunked",
+     .summary = "event-chunked kernel staging, the CPU analogue of the paper's GPU kernel",
+     .schedule = KernelLaunch::Schedule::kPool,
+     .event_chunks = true},
+    {.kind = EngineKind::kOpenMp,
+     .name = "openmp",
+     .summary = "OpenMP trial parallelism (paper's multi-core implementation)",
+     .schedule = KernelLaunch::Schedule::kOpenMp},
+    {.kind = EngineKind::kSimd,
+     .name = "simd",
+     .summary = "lane-parallel batch engine: the kernel at the resolved vector width",
+     .schedule = KernelLaunch::Schedule::kPool,
+     .lanes = true},
+    {.kind = EngineKind::kWindowed,
+     .name = "windowed",
+     .summary = "sequential engine with a mid-year coverage window",
+     .bit_identical_to_sequential = false},
+    {.kind = EngineKind::kFused,
+     .name = "fused",
+     .summary = "trial-tiled single-pass engine: all layers per tile, cost-aware "
+                "scheduling, widest lanes",
+     .schedule = KernelLaunch::Schedule::kCosted,
+     .lanes = true},
+    {.kind = EngineKind::kInstrumented,
+     .name = "instrumented",
+     .summary = "sequential engine with Fig-6b phase timers and access counters",
+     .instrument = true},
+}};
+
+/// The preset of an engine kind (every kind has exactly one).
+const EnginePreset& engine_preset(EngineKind kind) noexcept;
+
+/// Name lookup for the CLI and the service; throws std::invalid_argument
+/// listing the known names, so typos are self-explanatory.
+const EnginePreset& engine_preset(std::string_view name);
+
+/// Canonical name of the engine kind ("seq", "parallel", ...).
 std::string_view to_string(EngineKind kind) noexcept;
 
+/// The lane type a lanes preset executes, and WHY — the sentence the
+/// instrumentation note and --verbose surface: explicit request, the
+/// ARE_SIMD_EXT override, the cpuid / compiled-in cap, or the cache-regime
+/// narrowing with the footprint that triggered it.
+struct SimdResolution {
+  simd::Extension extension = simd::Extension::kScalar;
+  std::string note;
+};
+
+/// Resolves a requested extension for this portfolio. std::nullopt means
+/// auto: the runtime dispatch decision (simd::best_extension()), narrowed
+/// to SSE2 when the portfolio's direct tables far outgrow the cache (wide
+/// gathers stop paying once every lookup misses; an ARE_SIMD_EXT override
+/// wins over the narrowing). Throws std::invalid_argument for an extension
+/// not runnable on this (binary, host). Never changes results: every
+/// extension is bit-identical.
+SimdResolution resolve_simd_extension(const Portfolio& portfolio,
+                                      std::optional<simd::Extension> requested);
+
 /// Per-run facts written back through AnalysisConfig::instrumentation.
-/// Every engine adapter records which engine actually executed and its
-/// engine-specific resolution (did OpenMP really run? which SIMD lane type
-/// did kAuto pick?); only engines whose descriptor sets
-/// supports_instrumentation also fill the phase/access breakdown.
 struct InstrumentationSink {
   /// The engine that executed the request.
   std::optional<EngineKind> engine_used;
 
-  /// kOpenMp only: true when OpenMP directives actually ran, false when the
-  /// build lacks OpenMP and the bit-identical thread-pool fallback executed.
-  /// The legacy run_openmp hid this; the registry surfaces it.
-  std::optional<bool> openmp_used;
+  /// Lanes presets (simd, fused): the extension that actually executed
+  /// after resolve_simd_extension.
+  std::optional<simd::Extension> simd_extension_used;
 
-  /// kSimd and kFused: the extension that actually executed after kAuto
-  /// resolution — the runtime dispatch decision (cpuid ∩ compiled-in,
-  /// ARE_SIMD_EXT override) plus the memory-bound narrowing to SSE2.
-  std::optional<SimdExtension> simd_extension_used;
-
-  /// kSimd and kFused: WHY that extension ran — explicit request, the env
-  /// override, the cpuid / compiled-in cap, or the cache-regime narrowing
-  /// with the footprint that triggered it. Mirrors
-  /// core::resolve_simd_extension_ex().note; --verbose prints it.
+  /// Lanes presets: WHY that extension ran (SimdResolution::note);
+  /// --verbose prints it.
   std::optional<std::string> simd_resolution_note;
 
-  /// Fig-6b phase attribution and memory-access counters (kInstrumented).
+  /// Fig-6b phase attribution and memory-access counters, filled when the
+  /// run collected phases (collect_phases, or the instrumented preset).
   std::optional<PhaseBreakdown> phases;
   std::optional<AccessCounts> accesses;
 };
@@ -113,61 +197,51 @@ struct ShardingOptions {
   std::string spill_dir;
 };
 
-/// Composable execution configuration. One struct covers every engine; each
-/// engine reads the fields it understands and run() rejects combinations
-/// the engine's descriptor says it cannot honour (no silent ignoring).
+/// Composable execution configuration. One struct covers every engine;
+/// the engine's preset decides which engine-specific knobs reach the
+/// kernel, and run() rejects what a preset cannot honour (a borrowed pool
+/// on a serial or OpenMP schedule) instead of silently ignoring it.
 struct AnalysisConfig {
   EngineKind engine = EngineKind::kParallel;
 
-  /// When non-empty, run() dispatches by this registry name instead of
-  /// `engine`. This is how engines registered under custom names are
-  /// reached: EngineKind is a closed enum, so a runtime-registered backend
-  /// reuses an existing kind, and kind lookup would find the builtin first.
-  /// The CLI always dispatches by name.
-  std::string engine_name;
-
-  /// Worker threads for the threaded engines (kParallel, kChunked, kOpenMp,
-  /// kSimd): 0 = hardware concurrency, 1 = single-threaded.
+  /// Worker threads for the threaded schedules (pool, costed, OpenMP):
+  /// 0 = hardware concurrency, 1 = single-threaded.
   std::size_t num_threads = 0;
 
-  /// kParallel: trial-range partitioning strategy and, for dynamic/guided,
-  /// the number of trials per work item.
+  /// Pool and costed schedules: trial-range partitioning strategy and, for
+  /// dynamic/guided pool schedules, the number of trials per work item.
   parallel::Partition partition = parallel::Partition::kStatic;
   std::size_t partition_chunk = 256;
 
-  /// kChunked: events staged per scratch chunk (the paper's Fig-5a knob).
+  /// Event-chunked presets (chunked): events staged per scratch chunk (the
+  /// paper's Fig-5a knob).
   std::size_t chunk_size = 4;
 
-  /// kFused: trials per tile (the fused engine processes every layer over
-  /// one tile's events before moving on; see core/fused_engine.hpp).
-  /// 0 = derive from the ELT footprint and events/trial
-  /// (core::default_tile_trials).
+  /// Trials per kernel block (the fused engine's tile: every layer is
+  /// processed over one block's events before moving on). 0 = derive from
+  /// the ELT footprint and events/trial (core::default_tile_trials).
   std::size_t tile_trials = 0;
 
-  /// kSimd: lane type to run; kAuto resolves to the widest compiled
-  /// extension with the memory-bound narrowing.
-  SimdExtension simd_extension = SimdExtension::kAuto;
+  /// Lanes presets (simd, fused): lane type to run; std::nullopt = auto
+  /// (see resolve_simd_extension).
+  std::optional<simd::Extension> simd_extension;
 
-  /// Coverage window within the contractual year; requires an engine whose
-  /// descriptor sets supports_windowing (kWindowed). Absent = full year.
+  /// Coverage window within the contractual year, applied by every engine.
+  /// Absent = full year.
   std::optional<CoverageWindow> window;
 
-  /// When set, the engine adapter records execution facts here, and
-  /// engines with supports_instrumentation fill the phase breakdown.
-  /// Borrowed, not owned; any engine accepts it.
+  /// When set, run() records execution facts here and delivers the phase
+  /// breakdown of runs that collect one. Borrowed, not owned.
   InstrumentationSink* instrumentation = nullptr;
 
-  /// Request the Fig-6b phase breakdown; requires an engine whose
-  /// descriptor sets supports_instrumentation and a non-null
-  /// `instrumentation` sink to receive it. kInstrumented always fills the
-  /// breakdown; kFused switches to a timer-instrumented (slower,
-  /// bit-identical) tile path only when this is set, so the default fused
-  /// hot path stays untimed.
+  /// Request the Fig-6b phase breakdown; needs a non-null `instrumentation`
+  /// sink to receive it. The instrumented preset always collects it; other
+  /// engines switch to the timer-instrumented (slower, bit-identical) block
+  /// path only when this is set, so the default hot path stays untimed.
   bool collect_phases = false;
 
   /// Output placement. run() serves kMaterialized only; kSharded runs go
-  /// through shard::run_sharded (or run_to_sink with your own sink) and
-  /// require an engine whose descriptor has a run_to_sink adapter.
+  /// through shard::run_sharded (or run_to_sink with your own sink).
   OutputMode output = OutputMode::kMaterialized;
   ShardingOptions sharding;
 
@@ -175,8 +249,8 @@ struct AnalysisConfig {
   TelemetryOptions telemetry;
 
   /// Borrowed thread pool, reused across runs (the real-time pricing path);
-  /// requires an engine whose descriptor sets supports_pool_reuse
-  /// (kParallel, kSimd). nullptr = the engine owns its threads.
+  /// requires a preset that accepts_pool(). nullptr = the engine owns its
+  /// threads.
   parallel::ThreadPool* pool = nullptr;
 
   /// Delta execution (core/trial_kernel.hpp GroundUpLossCache; the resident
@@ -209,9 +283,8 @@ struct AnalysisConfig {
   /// Engine-independent sanity checks; throws std::invalid_argument on a
   /// malformed window, partition_chunk == 0, chunk_size == 0, or
   /// sharding.shard_trials == 0 (tile_trials == 0 is valid: it selects the
-  /// tile-size heuristic).
-  /// Engine-capability checks (window/pool vs. descriptor flags, extension
-  /// availability) happen in run(), which knows the registry.
+  /// tile-size heuristic). Preset checks (borrowed pool, extension
+  /// availability) happen in run().
   void validate() const;
 };
 
@@ -223,21 +296,19 @@ struct AnalysisRequest {
   AnalysisConfig config{};
 };
 
-/// The front door: validates the config, resolves the engine through
-/// EngineRegistry::global(), rejects capability mismatches
-/// (std::invalid_argument), and dispatches. Output YLTs of engines whose
-/// descriptor sets bit_identical_to_sequential are bit-identical to
+/// The front door: validates the config, turns the engine's preset into a
+/// kernel config + launch, rejects what the preset cannot honour
+/// (std::invalid_argument), and runs the trial kernel. Output YLTs of
+/// presets with bit_identical_to_sequential are bit-identical to
 /// EngineKind::kSequential for the same request. Serves
 /// OutputMode::kMaterialized only — a sharded config is redirected (by
 /// error message) to shard::run_sharded, which owns the sharded table.
 YearLossTable run(const AnalysisRequest& request);
 
-/// Sink front door: same validation/capability checks as run(), then the
-/// engine emits finished trial-range blocks into `sink` instead of an
-/// owned YearLossTable. Requires an engine whose descriptor carries a
-/// run_to_sink adapter (descriptor.supports_sharded_output()); engines
-/// whose descriptor also sets bit_identical_to_sequential deliver exactly
-/// the bytes run_sequential would have produced for every cell.
+/// Sink front door: same checks as run(), then the kernel emits finished
+/// trial-range blocks into `sink` instead of an owned YearLossTable. Every
+/// preset can; those with bit_identical_to_sequential deliver exactly the
+/// bytes run_sequential would have produced for every cell.
 void run_to_sink(const AnalysisRequest& request, YltSink& sink);
 
 }  // namespace are::core

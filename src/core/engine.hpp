@@ -2,7 +2,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
+#include "core/coverage_window.hpp"
 #include "core/layer.hpp"
 #include "core/year_loss_table.hpp"
 #include "core/ylt_sink.hpp"
@@ -11,8 +13,7 @@
 
 namespace are::core {
 
-/// Builds the (layer ids x trials) output table every driver fills —
-/// shared by the engine entry points and the registry adapters.
+/// Builds the (layer ids x trials) output table a materialized run fills.
 inline YearLossTable make_year_loss_table(const Portfolio& portfolio,
                                           const yet::YearEventTable& yet_table) {
   std::vector<std::uint32_t> ids;
@@ -26,56 +27,12 @@ inline YearLossTable make_year_loss_table(const Portfolio& portfolio,
 /// (1) look up each event's loss in each covered ELT, (2) apply the ELT
 /// financial terms and combine across ELTs, (3) apply occurrence terms,
 /// (4) accumulate and apply aggregate terms — executes in the shared
-/// trial-block kernel (core/trial_kernel.hpp); this driver runs it on one
-/// thread over the whole trial range.
+/// trial-block kernel (core/trial_kernel.hpp); this runs it on one thread
+/// over the whole trial range with every optional feature off. Equivalence
+/// tests pin every engine preset (core/analysis.hpp) against it.
 YearLossTable run_sequential(const Portfolio& portfolio, const yet::YearEventTable& yet_table);
 
-/// Sequential engine emitting into a YltSink: the kernel processes trials
-/// in blocks that never cross sink.block_trials(), each block's layer rows
-/// staged in one block-sized scratch buffer and emitted — so with a
-/// sharded sink the monolithic trials x layers table never exists. The
-/// per-trial arithmetic is exactly run_sequential's, so a
-/// MaterializedYltSink reproduces its YLT byte-for-byte.
-void run_sequential_to_sink(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                            YltSink& sink);
-
-struct ParallelOptions {
-  /// Worker threads; 0 = hardware concurrency.
-  std::size_t num_threads = 0;
-  parallel::Partition partition = parallel::Partition::kStatic;
-  /// Trials per dynamic/guided chunk.
-  std::size_t chunk = 256;
-};
-
-/// Trial-parallel engine: one logical task per block of trials on a thread
-/// pool, mirroring the paper's OpenMP implementation ("a single thread is
-/// employed per trial"). Bit-identical output to run_sequential.
-YearLossTable run_parallel(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                           const ParallelOptions& options = {});
-
-/// Reuses an existing pool (cheaper when an application runs many analyses,
-/// e.g. the real-time pricing scenario).
-YearLossTable run_parallel(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                           parallel::ThreadPool& pool, const ParallelOptions& options = {});
-
-struct ChunkedOptions {
-  /// Events processed per chunk — the paper's GPU "chunk size" knob
-  /// (Fig 5a: best at 4, flat to 12, cliff beyond shared-memory capacity).
-  std::size_t chunk_size = 4;
-  /// Threads for the trial-parallel outer loop (0 = hardware concurrency,
-  /// 1 = fully sequential chunked execution).
-  std::size_t num_threads = 1;
-};
-
-/// Chunked engine: the CPU analogue of the paper's optimised GPU kernel.
-/// The kernel's combine/occurrence phases stage at most chunk_size events
-/// at a time in the scratch buffers (the stand-in for per-SM shared
-/// memory), with the path-dependent aggregate state carried across chunks
-/// by TrialAccumulator. Bit-identical output to run_sequential.
-YearLossTable run_chunked(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                          const ChunkedOptions& options = {});
-
-/// Phase attribution for the instrumented engine (Fig 6b of the paper:
+/// Phase attribution of an instrumented run (Fig 6b of the paper:
 /// event fetch / ELT lookup / financial terms / layer terms) plus an
 /// output phase for sink emission — zero on materialized runs (no sink),
 /// so the four Fig-6b fractions still sum to 1.0 there.
@@ -113,24 +70,17 @@ struct AccessCounts {
   std::uint64_t layer_term_applications = 0;
 };
 
-struct InstrumentedResult {
-  YearLossTable ylt;
-  PhaseBreakdown phases;
-  AccessCounts accesses;
-};
-
-/// Runs the analysis with per-phase timers and access counters (the
-/// kernel's instrumented block path: each phase sweeps the block's staged
-/// event buffer), so attribution is directly comparable to Fig 6b. Access
-/// counts follow the paper's line-by-line algorithm and match
-/// predict_access_counts. Output YLT is bit-identical to run_sequential.
-InstrumentedResult run_instrumented(const Portfolio& portfolio,
-                                    const yet::YearEventTable& yet_table);
-
 /// Pure access-count prediction without running the simulation (used by the
-/// analytical models and asserted against the instrumented engine's actual
-/// counters in tests).
+/// analytical models and asserted against an instrumented run's actual
+/// counters in tests). Access counts follow the paper's line-by-line
+/// algorithm.
 AccessCounts predict_access_counts(const Portfolio& portfolio,
                                    const yet::YearEventTable& yet_table) noexcept;
+
+/// Per-trial count of occurrences inside the coverage window (diagnostics
+/// for seasonality studies: a hurricane-season window should capture most
+/// hurricane occurrences and few winter-storm ones).
+std::vector<std::uint64_t> occurrences_in_window(const yet::YearEventTable& yet_table,
+                                                 const CoverageWindow& window);
 
 }  // namespace are::core

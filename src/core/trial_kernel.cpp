@@ -19,6 +19,14 @@
 
 namespace are::core {
 
+bool openmp_available() noexcept {
+#ifdef _OPENMP
+  return true;
+#else
+  return false;
+#endif
+}
+
 namespace {
 
 /// The runtime dispatch table behind kernel construction. The scalar
@@ -26,32 +34,32 @@ namespace {
 /// flags — it must run anywhere the binary loads); every wider extension
 /// routes to the factory in its own src/core/kernel_ext_*.cpp TU, present
 /// exactly when CMake defined the matching ARE_KERNEL_TU_* macro. Callers
-/// reach a wide factory only for extensions simd_extension_available()
-/// reports runnable (the constructor and resolve_simd_extension guard), so
-/// a host never executes instructions its cpuid did not report.
-std::unique_ptr<TrialBlockKernel::Impl> make_impl(SimdExtension extension,
+/// reach a wide factory only for extensions simd::runnable_extensions()
+/// reports (the constructor guards), so a host never executes instructions
+/// its cpuid did not report.
+std::unique_ptr<TrialBlockKernel::Impl> make_impl(simd::Extension extension,
                                                   const Portfolio& portfolio,
                                                   const yet::YearEventTable& yet_table,
                                                   const TrialKernelConfig& config,
                                                   YearLossTable* ylt, YltSink* sink) {
   switch (extension) {
-    case SimdExtension::kScalar:
+    case simd::Extension::kScalar:
       return std::make_unique<KernelImpl<simd::scalar_ext>>(portfolio, yet_table, config, ylt,
                                                             sink);
 #if defined(ARE_KERNEL_TU_SSE2)
-    case SimdExtension::kSse2:
+    case simd::Extension::kSse2:
       return detail::make_kernel_impl_sse2(portfolio, yet_table, config, ylt, sink);
 #endif
 #if defined(ARE_KERNEL_TU_AVX2)
-    case SimdExtension::kAvx2:
+    case simd::Extension::kAvx2:
       return detail::make_kernel_impl_avx2(portfolio, yet_table, config, ylt, sink);
 #endif
 #if defined(ARE_KERNEL_TU_AVX512)
-    case SimdExtension::kAvx512:
+    case simd::Extension::kAvx512:
       return detail::make_kernel_impl_avx512(portfolio, yet_table, config, ylt, sink);
 #endif
 #if defined(ARE_KERNEL_TU_NEON)
-    case SimdExtension::kNeon:
+    case simd::Extension::kNeon:
       return detail::make_kernel_impl_neon(portfolio, yet_table, config, ylt, sink);
 #endif
     default:
@@ -93,20 +101,17 @@ TrialBlockKernel::TrialBlockKernel(const Portfolio& portfolio,
   if (config.ground_up_replay != nullptr) {
     check_cache_shape(*config.ground_up_replay, "ground-up replay");
   }
-  SimdExtension extension = config.extension;
-  if (extension == SimdExtension::kAuto) {
-    extension = best_simd_extension();
-  } else if (!simd_extension_available(extension)) {
-    // Explicit requests are checked against the RUNTIME capability (cpuid ∩
-    // compiled-in) before any wide factory runs — an unrunnable extension
-    // must fail with a diagnosable error, never an illegal instruction.
+  // The extension is checked against the RUNTIME capability (cpuid ∩
+  // compiled-in) before any wide factory runs — an unrunnable extension
+  // must fail with a diagnosable error, never an illegal instruction.
+  if (!simd::mask_has(simd::runnable_extensions(), config.extension)) {
     throw std::invalid_argument("trial kernel: simd extension '" +
-                                std::string(to_string(extension)) +
+                                std::string(to_string(config.extension)) +
                                 "' is not compiled into this binary or not supported by this "
                                 "host's cpu");
   }
-  extension_ = extension;
-  impl_ = make_impl(extension, portfolio, yet_table, config, ylt, sink);
+  extension_ = config.extension;
+  impl_ = make_impl(extension_, portfolio, yet_table, config, ylt, sink);
   impl_->block_trials = config.block_trials != 0 ? config.block_trials
                                                  : default_tile_trials(portfolio, yet_table);
 }
@@ -173,7 +178,7 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
   KernelLaunch::Schedule schedule = launch.schedule;
 #ifndef _OPENMP
   // No OpenMP in this build: the bit-identical thread-pool fallback runs
-  // (surfaced to callers via InstrumentationSink::openmp_used).
+  // (surfaced to callers via openmp_available()).
   if (schedule == KernelLaunch::Schedule::kOpenMp) schedule = KernelLaunch::Schedule::kPool;
 #endif
 
@@ -261,9 +266,9 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
     }
   }
 
-  // Feed the collected per-phase wall times into the registry so an
-  // instrumented run's Fig-6b attribution is visible to exporters and the
-  // future service without threading InstrumentedResult around.
+  // Feed the collected per-phase wall times into the telemetry registry so
+  // an instrumented run's Fig-6b attribution is visible to exporters and
+  // the service.
   if (obs::enabled() && config.instrument && phases != nullptr) {
     obs::TelemetryRegistry& registry = obs::TelemetryRegistry::global();
     const auto ns = [](double seconds) {

@@ -10,34 +10,46 @@
 //
 //   - scalar and simd::VecD term paths (one templated body; the lane type is
 //     a runtime choice, resolved once at kernel construction),
-//   - an optional CoverageWindow (the windowed engine's semantics),
+//   - an optional CoverageWindow (mid-year coverage),
 //   - optional per-phase timers + access counters (the Fig-6b breakdown),
 //   - optional event-chunked staging (the chunked engine's Fig-5a knob),
 //   - delivery either straight into a YearLossTable or into a YltSink
 //     (finished blocks never cross sink.block_trials() boundaries, so a
 //     sharded sink receives each block into exactly one shard).
 //
-// The engines are now *drivers*: each one only chooses block partitioning,
-// scheduling (serial / parallel_for / parallel_for_costed / OpenMP), and
-// lane width over this kernel — see KernelLaunch and run_trial_kernel().
-// Every (engine x threads x lane x sink) combination produces bytes
-// identical to the sequential reference, because every combination runs
-// this body: per (layer, trial) cell the arithmetic and its order never
-// change, only which cells share a register or a thread.
+// There are no engine implementations beyond this kernel: an engine name is
+// a constant preset (core/analysis.hpp kEnginePresets) that fixes the
+// schedule (serial / parallel_for / parallel_for_costed / OpenMP) and lane
+// type, and core::run() calls run_trial_kernel() with it. Every
+// (preset x threads x lane x sink) combination produces bytes identical to
+// the sequential reference, because every combination runs this body: per
+// (layer, trial) cell the arithmetic and its order never change, only
+// which cells share a register or a thread.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string_view>
 
 #include "core/cancel.hpp"
 #include "core/coverage_window.hpp"
 #include "core/engine.hpp"
-#include "core/simd_engine.hpp"
 #include "core/ylt_sink.hpp"
 #include "parallel/parallel_for.hpp"
+#include "simd/dispatch.hpp"
 
 namespace are::core {
+
+/// Name of a lane type ("scalar", "sse2", "avx2", "avx512", "neon") — the
+/// `kernel.simd_ext{ext=…}` label and what --verbose reports.
+inline std::string_view to_string(simd::Extension extension) noexcept {
+  return simd::name_of(extension);
+}
+
+/// True when the library was compiled with OpenMP support; without it the
+/// OpenMP schedule runs the bit-identical thread-pool fallback.
+bool openmp_available() noexcept;
 
 /// Per-(layer, event-occurrence) *combined* losses: the exact intermediate
 /// the kernel produces after the ELT lookups and per-ELT financial terms
@@ -91,11 +103,10 @@ class GroundUpLossCache {
 /// What the kernel computes per block — the cross-cutting knobs every
 /// driver shares. Scheduling lives in KernelLaunch, not here.
 struct TrialKernelConfig {
-  /// Resolved lane type for the vectorized term phases. kScalar runs the
-  /// same body one element at a time; kAuto resolves to the widest compiled
-  /// extension (drivers that want the memory-bound narrowing resolve with
-  /// resolve_simd_extension() first and pass the result).
-  SimdExtension extension = SimdExtension::kScalar;
+  /// Lane type for the vectorized term phases; kScalar runs the same body
+  /// one element at a time. Must be runnable on this host (the constructor
+  /// throws otherwise); core::resolve_simd_extension picks one.
+  simd::Extension extension = simd::Extension::kScalar;
 
   /// Coverage window; absent or full-year = every occurrence counts.
   std::optional<CoverageWindow> window;
@@ -186,10 +197,8 @@ class TrialBlockKernel {
   /// heuristic when that was 0).
   std::size_t block_trials() const noexcept;
 
-  /// The extension this kernel actually executes: config.extension, or —
-  /// for kAuto — the runtime dispatch decision (cpuid ∩ compiled-in, env
-  /// override honored; see simd/dispatch.hpp). Never kAuto.
-  SimdExtension extension() const noexcept { return extension_; }
+  /// The extension this kernel executes (config.extension).
+  simd::Extension extension() const noexcept { return extension_; }
 
   /// Adds an instrumented scratch's phase timers and access counts into the
   /// given accumulators (either may be null) — the post-run merge step for
@@ -203,11 +212,11 @@ class TrialBlockKernel {
 
  private:
   std::unique_ptr<Impl> impl_;
-  SimdExtension extension_ = SimdExtension::kScalar;
+  simd::Extension extension_ = simd::Extension::kScalar;
 };
 
-/// How a driver schedules kernel blocks onto threads — together with
-/// TrialKernelConfig this is the *entire* definition of an engine.
+/// How kernel blocks are scheduled onto threads — together with
+/// TrialKernelConfig this is the *entire* definition of an engine preset.
 struct KernelLaunch {
   enum class Schedule {
     kSerial,  ///< one thread, one scratch (seq / windowed / instrumented)
@@ -230,7 +239,7 @@ struct KernelLaunch {
   std::size_t chunk = 256;
 };
 
-/// The one driver entry point: builds the kernel, schedules it per
+/// The one kernel entry point: builds the kernel, schedules it per
 /// `launch`, and (for instrumented configs) merges every worker's phase
 /// timers and access counts into `phases` / `accesses` (assigned, not
 /// accumulated; may be null). Exactly one of `ylt` / `sink` must be

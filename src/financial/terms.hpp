@@ -18,7 +18,7 @@ inline constexpr double kUnlimited = std::numeric_limits<double>::infinity();
 /// x86 MINPD/MAXPD convention (second operand returned on equality) for
 /// the engine's domain — finite non-negative losses, retentions >= 0,
 /// limits >= 0 or +inf, never NaN. Any change to this arithmetic must
-/// keep the vectorized form in core/simd_engine.cpp bit-identical (the
+/// keep the vectorized form in core/simd_terms.hpp bit-identical (the
 /// equivalence suite in tests/test_simd_engine.cpp enforces it).
 constexpr double excess_of_loss(double loss, double retention, double limit) noexcept {
   const double in_excess = loss - retention;

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -52,11 +53,30 @@ void write_vector(std::ostream& out, const std::vector<T>& values, std::uint64_t
   hash ^= fnv1a(values.data(), values.size() * sizeof(T));
 }
 
+/// Bytes between the read position and the end of the stream, or
+/// std::nullopt for a stream that cannot seek (the position is restored).
+std::optional<std::uint64_t> bytes_left(std::istream& in) {
+  const std::streampos here = in.tellg();
+  if (here == std::streampos(-1)) return std::nullopt;
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.clear();
+  in.seekg(here);
+  if (end == std::streampos(-1) || end < here) return std::nullopt;
+  return static_cast<std::uint64_t>(end - here);
+}
+
 template <typename T>
 std::vector<T> read_vector(std::istream& in, std::uint64_t& hash) {
   const auto count = read_pod<std::uint64_t>(in);
-  // Refuse absurd sizes before allocating (corrupt count field).
-  if (count > (1ULL << 33)) throw_corrupt("implausible vector size in binary stream");
+  // Refuse a corrupt count field before allocating: it may not claim more
+  // bytes than the stream still holds (or, on a stream that cannot seek,
+  // more than an implausible 2^33 elements).
+  const std::optional<std::uint64_t> left = bytes_left(in);
+  if (left ? count > *left / sizeof(T) : count > (1ULL << 33)) {
+    throw_corrupt("vector length " + std::to_string(count) + " in binary stream exceeds " +
+                  (left ? "the " + std::to_string(*left) + " bytes left" : "2^33 elements"));
+  }
   std::vector<T> values(static_cast<std::size_t>(count));
   in.read(reinterpret_cast<char*>(values.data()),
           static_cast<std::streamsize>(values.size() * sizeof(T)));

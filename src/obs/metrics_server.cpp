@@ -165,7 +165,7 @@ std::string MetricsServer::handle_path(const std::string& path) const {
 #endif
         << "\"}";
     // Runtime SIMD dispatch facts: what this host's cpuid reports, which
-    // kernel TUs the binary carries, and the extension kAuto executes —
+    // kernel TUs the binary carries, and the extension auto executes —
     // the fleet-debugging answer to "is this box actually running AVX2?".
     body << ",\"simd\":{\"detected\":\"" << simd::describe_mask(simd::detected_extensions())
          << "\",\"compiled\":\"" << simd::describe_mask(simd::compiled_extensions())

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/engine_registry.hpp"
 #include "obs/metrics_server.hpp"
 #include "obs/trace.hpp"
 #include "service/access_log.hpp"
@@ -110,10 +109,10 @@ void AnalysisService::update_layer_terms(std::string_view id, std::uint32_t laye
 std::uint64_t AnalysisService::fingerprint_of(std::string_view portfolio_id,
                                               std::uint64_t generation,
                                               const core::Portfolio& effective,
-                                              std::string_view engine_name,
+                                              std::string_view engine,
                                               const QuoteRequest& request) const {
   Fingerprint fp;
-  fp.mix(portfolio_id).mix(generation).mix(engine_name);
+  fp.mix(portfolio_id).mix(generation).mix(engine);
   fp.mix(session_.yet_table().num_trials()).mix(session_.yet_table().total_events());
   fp.mix(request.window.has_value() ? 1u : 0u);
   if (request.window.has_value()) {
@@ -164,17 +163,14 @@ QuoteResponse AnalysisService::quote(const QuoteRequest& request) {
   const PortfolioSession::BookSnapshot book = session_.snapshot(request.portfolio_id);
   const std::shared_ptr<const core::Portfolio> portfolio =
       effective_portfolio(book, request);
-  const std::string& engine_name =
-      request.engine.empty() ? config_.default_engine : request.engine;
-  const core::EngineDescriptor& descriptor =
-      core::EngineRegistry::global().require(engine_name);
+  const std::string& engine = request.engine.empty() ? config_.default_engine : request.engine;
+  const core::EnginePreset& preset = core::engine_preset(engine);
 
   QuoteResponse response;
   response.request_id = request_id;
-  response.engine = engine_name;
+  response.engine = engine;
   response.fingerprint =
-      fingerprint_of(request.portfolio_id, book.generation, *portfolio, engine_name,
-                     request);
+      fingerprint_of(request.portfolio_id, book.generation, *portfolio, engine, request);
 
   auto finish = [&](QuoteResponse&& done) {
     done.wall_seconds =
@@ -247,11 +243,10 @@ QuoteResponse AnalysisService::quote(const QuoteRequest& request) {
   }
 
   core::AnalysisConfig config;
-  config.engine = descriptor.kind;
-  config.engine_name = engine_name;
+  config.engine = preset.kind;
   config.num_threads = config_.session.num_threads;
   config.window = request.window;
-  if (descriptor.supports_pool_reuse) config.pool = &session_.pool();
+  if (preset.accepts_pool()) config.pool = &session_.pool();
   config.ground_up_replay = replay.get();
   config.ground_up_capture = capture.get();
   core::InstrumentationSink sink;

@@ -54,7 +54,7 @@ struct ServiceConfig {
   BrokerConfig broker;
   std::size_t cache_entries = 64;
   pricing::PricingAssumptions assumptions;
-  /// Registry name used when a request does not name an engine.
+  /// Engine name (core::kEnginePresets) used when a request does not name one.
   std::string default_engine = "fused";
   /// Sharded-output knobs for quotes with QuoteRequest::sharded (shard
   /// size, spill dir, memory budget). The tiny-budget + spill-dir
@@ -83,7 +83,7 @@ struct TermsOverride {
 struct QuoteRequest {
   std::string portfolio_id;
   std::vector<TermsOverride> overrides;
-  /// Engine registry name; empty = ServiceConfig::default_engine.
+  /// Engine name (core::kEnginePresets); empty = ServiceConfig::default_engine.
   std::string engine;
   std::optional<core::CoverageWindow> window;
   /// Fill QuoteOutcome::phases (Fig-6b attribution for this request).
@@ -170,8 +170,7 @@ class AnalysisService {
 
  private:
   std::uint64_t fingerprint_of(std::string_view portfolio_id, std::uint64_t generation,
-                               const core::Portfolio& effective,
-                               std::string_view engine_name,
+                               const core::Portfolio& effective, std::string_view engine,
                                const QuoteRequest& request) const;
 
   ServiceConfig config_;

@@ -211,21 +211,27 @@ std::string response_json(const QuoteResponse& response) {
 
 // ---- socket plumbing --------------------------------------------------------
 
+/// Binds and listens under a temporary name, then renames the socket into
+/// place: the path appears only once it accepts connections, so a client
+/// that waits for the file (tests, CI's `[ -S sock ]`) never races
+/// listen() into ECONNREFUSED.
 int make_listen_socket(const std::string& path) {
-  ::unlink(path.c_str());
+  const std::string staging = path + ".tmp";
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) throw std::runtime_error("socket(): " + std::string(std::strerror(errno)));
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
+  if (staging.size() >= sizeof(addr.sun_path)) {
     ::close(fd);
     throw std::runtime_error("socket path too long: " + path);
   }
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  std::strncpy(addr.sun_path, staging.c_str(), sizeof(addr.sun_path) - 1);
+  ::unlink(staging.c_str());
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(fd, 16) != 0) {
+      ::listen(fd, 16) != 0 || ::rename(staging.c_str(), path.c_str()) != 0) {
     const std::string reason = std::strerror(errno);
     ::close(fd);
+    ::unlink(staging.c_str());
     throw std::runtime_error("bind/listen on " + path + ": " + reason);
   }
   return fd;
@@ -410,6 +416,14 @@ int Server::serve() {
           const std::string request = pending.substr(0, newline);
           pending.erase(0, newline + 1);
           write_all(conn, handle_line(request) + "\n");
+        }
+        if (pending.size() > kMaxLineBytes) {
+          write_all(conn, error_json(core::Status{
+                              core::StatusCode::kInvalidArgument,
+                              "request line exceeds " + std::to_string(kMaxLineBytes) +
+                                  " bytes without a newline; closing the connection"}) +
+                              "\n");
+          break;
         }
         if (stop_requested()) break;
       }

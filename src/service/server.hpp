@@ -32,9 +32,12 @@
 //
 // handle_line() is the protocol core and is directly testable without a
 // socket; serve() owns the accept loop (one thread per connection, joined
-// on shutdown).
+// on shutdown). A connection that sends more than kMaxLineBytes without a
+// newline gets one "invalid-argument" error line and is closed, so a
+// client can never grow the server's line buffer without bound.
 
 #include <atomic>
+#include <cstddef>
 #include <string>
 
 #include "service/analysis_service.hpp"
@@ -50,6 +53,9 @@ struct ServerOptions {
 
 class Server {
  public:
+  /// Longest unterminated request line a connection may buffer.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{64} << 10;
+
   Server(AnalysisService& service, ServerOptions options = {});
 
   /// Executes one protocol line and returns the JSON response (no trailing

@@ -34,9 +34,9 @@
 namespace are::simd {
 
 /// The dispatchable extensions, ordered narrow to wide within each
-/// architecture. Mirrors core::SimdExtension minus kAuto (dispatch is what
-/// kAuto resolves *through*); kept separate so src/simd stays below
-/// src/core in the layering.
+/// architecture. The one lane-type enum of the library: "auto" is not a
+/// member but an empty std::optional<Extension>, which
+/// core::resolve_simd_extension resolves through best_extension().
 enum class Extension : std::uint8_t {
   kScalar = 0,
   kSse2,
@@ -105,7 +105,7 @@ ExtensionMask runnable_extensions() noexcept;
 /// best_extension_reason(), instead of killing every run at load).
 std::optional<Extension> env_override() noexcept;
 
-/// The load-resolved extension kAuto executes: env override when runnable,
+/// The load-resolved extension auto executes: env override when runnable,
 /// else the widest runnable extension.
 Extension best_extension() noexcept;
 

@@ -1,5 +1,5 @@
 // Tests for the core aggregate risk engine: correctness against
-// hand-computed cases, bit-identical equivalence of all engine variants
+// hand-computed cases, bit-identical equivalence of the engine presets
 // (sequential / parallel / chunked / instrumented), parameterized sweeps
 // over chunk sizes and lookup representations, and access-count prediction.
 #include <gtest/gtest.h>
@@ -221,9 +221,9 @@ TEST_P(ChunkSweep, ChunkedMatchesSequentialAtEveryChunkSize) {
   const auto yet_table = synthetic_yet(300, 50.0);
   const auto sequential = core::run_sequential(portfolio, yet_table);
 
-  core::ChunkedOptions options;
-  options.chunk_size = GetParam();
-  expect_identical(sequential, core::run_chunked(portfolio, yet_table, options));
+  const core::AnalysisConfig config{
+      .engine = core::EngineKind::kChunked, .num_threads = 1, .chunk_size = GetParam()};
+  expect_identical(sequential, core::run({portfolio, yet_table, config}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ChunkSweep,
@@ -238,11 +238,11 @@ TEST_P(ThreadSweep, ParallelMatchesSequentialAtEveryThreadCount) {
 
   for (const auto partition : {parallel::Partition::kStatic, parallel::Partition::kDynamic,
                                parallel::Partition::kGuided}) {
-    core::ParallelOptions options;
-    options.num_threads = GetParam();
-    options.partition = partition;
-    options.chunk = 16;
-    expect_identical(sequential, core::run_parallel(portfolio, yet_table, options));
+    const core::AnalysisConfig config{.engine = core::EngineKind::kParallel,
+                                      .num_threads = GetParam(),
+                                      .partition = partition,
+                                      .partition_chunk = 16};
+    expect_identical(sequential, core::run({portfolio, yet_table, config}));
   }
 }
 
@@ -269,8 +269,14 @@ TEST(EngineEquivalenceExtra, MixedLookupKindsAcrossElts) {
 
   const auto yet_table = synthetic_yet(200, 60.0);
   const auto sequential = core::run_sequential(portfolio, yet_table);
-  expect_identical(sequential, core::run_chunked(portfolio, yet_table, {8, 1}));
-  expect_identical(sequential, core::run_parallel(portfolio, yet_table, {3, {}, 64}));
+  expect_identical(sequential,
+                   core::run({portfolio, yet_table,
+                              {.engine = core::EngineKind::kChunked, .num_threads = 1,
+                               .chunk_size = 8}}));
+  expect_identical(sequential,
+                   core::run({portfolio, yet_table,
+                              {.engine = core::EngineKind::kParallel, .num_threads = 3,
+                               .partition_chunk = 64}}));
 }
 
 TEST(EngineEquivalenceExtra, LookupKindDoesNotChangeResults) {
@@ -286,29 +292,40 @@ TEST(EngineEquivalenceExtra, LookupKindDoesNotChangeResults) {
 
 // --- Instrumented engine -------------------------------------------------------
 
+/// Runs the instrumented preset and returns the facts it delivers.
+core::InstrumentationSink instrumented_facts(const Portfolio& portfolio,
+                                           const yet::YearEventTable& yet_table) {
+  core::InstrumentationSink sink;
+  core::run({portfolio, yet_table,
+             {.engine = core::EngineKind::kInstrumented, .instrumentation = &sink}});
+  return sink;
+}
+
 TEST(InstrumentedEngine, AccessCountsMatchPrediction) {
   const Portfolio portfolio = synthetic_portfolio(2, 5);
   const auto yet_table = synthetic_yet(100, 30.0);
 
-  const auto result = core::run_instrumented(portfolio, yet_table);
+  const auto result = instrumented_facts(portfolio, yet_table);
   const auto predicted = core::predict_access_counts(portfolio, yet_table);
 
-  EXPECT_EQ(result.accesses.events_fetched, predicted.events_fetched);
-  EXPECT_EQ(result.accesses.elt_lookups, predicted.elt_lookups);
-  EXPECT_EQ(result.accesses.financial_applications, predicted.financial_applications);
-  EXPECT_EQ(result.accesses.layer_term_applications, predicted.layer_term_applications);
+  ASSERT_TRUE(result.accesses.has_value());
+  EXPECT_EQ(result.accesses->events_fetched, predicted.events_fetched);
+  EXPECT_EQ(result.accesses->elt_lookups, predicted.elt_lookups);
+  EXPECT_EQ(result.accesses->financial_applications, predicted.financial_applications);
+  EXPECT_EQ(result.accesses->layer_term_applications, predicted.layer_term_applications);
 }
 
 TEST(InstrumentedEngine, PhaseTimesArePositiveAndSumToTotal) {
   const Portfolio portfolio = synthetic_portfolio(1, 8);
   const auto yet_table = synthetic_yet(400, 100.0);
-  const auto result = core::run_instrumented(portfolio, yet_table);
+  const auto result = instrumented_facts(portfolio, yet_table);
 
-  EXPECT_GT(result.phases.lookup_seconds, 0.0);
-  EXPECT_GT(result.phases.total_seconds(), 0.0);
-  const double fraction_sum = result.phases.fetch_fraction() + result.phases.lookup_fraction() +
-                              result.phases.financial_fraction() +
-                              result.phases.layer_fraction();
+  ASSERT_TRUE(result.phases.has_value());
+  const core::PhaseBreakdown& phases = *result.phases;
+  EXPECT_GT(phases.lookup_seconds, 0.0);
+  EXPECT_GT(phases.total_seconds(), 0.0);
+  const double fraction_sum = phases.fetch_fraction() + phases.lookup_fraction() +
+                              phases.financial_fraction() + phases.layer_fraction();
   EXPECT_NEAR(fraction_sum, 1.0, 1e-9);
 }
 
@@ -372,7 +389,8 @@ TEST(YearLossTable, LayerViewsAreContiguousAndWritable) {
 
 TEST(ChunkedEngine, RejectsZeroChunk) {
   const Portfolio portfolio = synthetic_portfolio(1, 1);
-  EXPECT_THROW(core::run_chunked(portfolio, synthetic_yet(10, 5.0), {0, 1}),
+  EXPECT_THROW(core::run({portfolio, synthetic_yet(10, 5.0),
+                          {.engine = core::EngineKind::kChunked, .chunk_size = 0}}),
                std::invalid_argument);
 }
 

@@ -1,16 +1,14 @@
-// Tests for the unified engine API: EngineRegistry lookup by kind and by
-// name, AnalysisConfig validation, capability enforcement in core::run,
-// instrumentation facts, custom-engine registration, and the cross-engine
-// equivalence sweep asserting every registered bit-identical engine matches
-// run_sequential through the one front door.
+// Tests for the unified engine API: the engine preset table (lookup by kind
+// and by name), AnalysisConfig validation, the preset checks in core::run
+// (the derived borrowed-pool rule), instrumentation facts, and the
+// cross-engine equivalence sweep asserting every bit-identical preset
+// matches run_sequential through the one front door.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
 
 #include "core/analysis.hpp"
-#include "core/engine_registry.hpp"
-#include "core/openmp_engine.hpp"
 #include "elt/synthetic.hpp"
 #include "parallel/thread_pool.hpp"
 #include "yet/generator.hpp"
@@ -19,10 +17,8 @@ namespace {
 
 using namespace are;
 using core::AnalysisConfig;
-using core::AnalysisRequest;
-using core::EngineDescriptor;
 using core::EngineKind;
-using core::EngineRegistry;
+using core::EnginePreset;
 
 constexpr std::size_t kUniverse = 10'000;
 
@@ -69,32 +65,28 @@ void expect_identical(const core::YearLossTable& a, const core::YearLossTable& b
   }
 }
 
-// --- Registry lookup ----------------------------------------------------------
+// --- Preset table -------------------------------------------------------------
 
-TEST(EngineRegistry, LooksUpEveryBuiltinByKindAndByName) {
-  const auto& registry = EngineRegistry::global();
+TEST(EnginePresets, LooksUpEveryKindByKindAndByName) {
   for (const EngineKind kind :
        {EngineKind::kSequential, EngineKind::kParallel, EngineKind::kChunked,
         EngineKind::kOpenMp, EngineKind::kSimd, EngineKind::kWindowed,
         EngineKind::kInstrumented, EngineKind::kFused}) {
-    const EngineDescriptor* by_kind = registry.find(kind);
-    ASSERT_NE(by_kind, nullptr) << core::to_string(kind);
-    EXPECT_EQ(by_kind->kind, kind);
+    const EnginePreset& by_kind = core::engine_preset(kind);
+    EXPECT_EQ(by_kind.kind, kind);
     // The canonical name round-trips through name lookup and to_string.
-    EXPECT_EQ(by_kind->name, core::to_string(kind));
-    const EngineDescriptor* by_name = registry.find(by_kind->name);
-    ASSERT_NE(by_name, nullptr);
-    EXPECT_EQ(by_name, by_kind);
+    EXPECT_EQ(by_kind.name, core::to_string(kind));
+    EXPECT_EQ(&core::engine_preset(by_kind.name), &by_kind);
   }
-  // >= : a later test registers a custom engine into global().
-  EXPECT_GE(registry.descriptors().size(), 8u);
+  // One preset per kind, in list-engines order.
+  std::string names;
+  for (const EnginePreset& preset : core::kEnginePresets) names += std::string(preset.name) + " ";
+  EXPECT_EQ(names, "seq parallel chunked openmp simd windowed fused instrumented ");
 }
 
-TEST(EngineRegistry, UnknownNameListsKnownEngines) {
-  const auto& registry = EngineRegistry::global();
-  EXPECT_EQ(registry.find("warp-drive"), nullptr);
+TEST(EnginePresets, UnknownNameListsKnownEngines) {
   try {
-    registry.require("warp-drive");
+    core::engine_preset("warp-drive");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& error) {
     const std::string message = error.what();
@@ -104,58 +96,20 @@ TEST(EngineRegistry, UnknownNameListsKnownEngines) {
   }
 }
 
-TEST(EngineRegistry, DescriptorCapabilitiesMatchTheEngines) {
-  const auto& registry = EngineRegistry::global();
-  EXPECT_FALSE(registry.require("windowed").bit_identical_to_sequential);
-  EXPECT_TRUE(registry.require("parallel").supports_pool_reuse);
-  EXPECT_TRUE(registry.require("simd").supports_pool_reuse);
-  // Every builtin drives the shared trial kernel, so the cross-cutting
-  // capabilities are uniform: windowing, the Fig-6b breakdown, and sharded
-  // output hold for every registered engine kind.
-  for (const EngineKind kind :
-       {EngineKind::kSequential, EngineKind::kParallel, EngineKind::kChunked,
-        EngineKind::kOpenMp, EngineKind::kSimd, EngineKind::kWindowed,
-        EngineKind::kInstrumented, EngineKind::kFused}) {
-    const EngineDescriptor& descriptor = EngineRegistry::global().require(kind);
-    EXPECT_TRUE(descriptor.supports_windowing) << descriptor.name;
-    EXPECT_TRUE(descriptor.supports_instrumentation) << descriptor.name;
-    EXPECT_TRUE(descriptor.supports_sharded_output()) << descriptor.name;
-  }
-  // Every builtin is runnable in every build (openmp/simd degrade, with the
-  // story in the availability note).
-  for (const auto& descriptor : registry.descriptors()) {
-    EXPECT_TRUE(descriptor.available_in_this_build) << descriptor.name;
-  }
-  EXPECT_FALSE(registry.require("simd").availability_note.empty());
+TEST(EnginePresets, BitsMatchTheEngines) {
+  EXPECT_FALSE(core::engine_preset("windowed").bit_identical_to_sequential);
+  EXPECT_TRUE(core::engine_preset("simd").lanes);
+  EXPECT_TRUE(core::engine_preset("fused").lanes);
+  EXPECT_FALSE(core::engine_preset("parallel").lanes);
+  EXPECT_TRUE(core::engine_preset("instrumented").instrument);
+  EXPECT_TRUE(core::engine_preset("chunked").event_chunks);
+  // The borrowed-pool rule is derived from the schedule.
+  EXPECT_TRUE(core::engine_preset("chunked").accepts_pool());
+  EXPECT_FALSE(core::engine_preset("openmp").accepts_pool());
+  EXPECT_FALSE(core::engine_preset("seq").accepts_pool());
 }
 
-TEST(EngineRegistry, RegistersAndReplacesCustomEngines) {
-  EngineRegistry registry;  // isolated from global()
-  EngineDescriptor custom;
-  custom.kind = EngineKind::kSequential;
-  custom.name = "custom";
-  custom.summary = "test double";
-  custom.run = [](const AnalysisRequest& request) {
-    return core::run_sequential(request.portfolio, request.yet_table);
-  };
-  registry.register_engine(custom);
-  ASSERT_NE(registry.find("custom"), nullptr);
-  EXPECT_EQ(registry.known_names(), "custom");
-
-  custom.summary = "replaced";
-  registry.register_engine(custom);  // same name: replace, not append
-  EXPECT_EQ(registry.descriptors().size(), 1u);
-  EXPECT_EQ(registry.find("custom")->summary, "replaced");
-
-  EngineDescriptor bad;
-  bad.run = custom.run;
-  EXPECT_THROW(registry.register_engine(bad), std::invalid_argument);  // empty name
-  bad.name = "no-run";
-  bad.run = nullptr;
-  EXPECT_THROW(registry.register_engine(bad), std::invalid_argument);
-}
-
-// --- AnalysisConfig validation and capability enforcement ---------------------
+// --- AnalysisConfig validation and preset checks ------------------------------
 
 TEST(AnalysisConfig, ValidateRejectsBadWindowAndZeroChunks) {
   AnalysisConfig config;
@@ -175,34 +129,14 @@ TEST(AnalysisConfig, ValidateRejectsBadWindowAndZeroChunks) {
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 
-TEST(UnifiedRun, RejectsWindowOnEngineWithoutWindowSupport) {
-  // Every kernel-backed builtin applies windows; the capability gate still
-  // protects custom engines that do not.
-  EngineDescriptor custom;
-  custom.kind = EngineKind::kSequential;
-  custom.name = "no-window";
-  custom.summary = "test double without window support";
-  custom.supports_windowing = false;
-  custom.run = [](const AnalysisRequest& request) {
-    return core::run_sequential(request.portfolio, request.yet_table);
-  };
-  EngineRegistry::global().register_engine(custom);
-
-  const auto portfolio = test_portfolio(1);
-  const auto yet_table = test_yet(20, 10.0);
-  AnalysisConfig config;
-  config.engine_name = "no-window";
-  config.window = core::CoverageWindow{0.0f, 0.5f};
-  EXPECT_THROW(core::run({portfolio, yet_table, config}), std::invalid_argument);
-}
-
 TEST(UnifiedRun, EveryEngineAppliesTheSameWindowSemantics) {
-  // The window is a kernel feature now: any engine with a real mid-year
-  // window must produce exactly run_windowed's YLT for that window.
+  // The window is a kernel feature: any engine with a real mid-year window
+  // must produce exactly the windowed engine's YLT for that window.
   const auto portfolio = test_portfolio(2);
   const auto yet_table = test_yet(300, 40.0);
   const core::CoverageWindow window{0.25f, 0.75f};
-  const auto reference = core::run_windowed(portfolio, yet_table, window);
+  const auto reference = core::run(
+      {portfolio, yet_table, {.engine = EngineKind::kWindowed, .window = window}});
   const auto full_year = core::run_sequential(portfolio, yet_table);
 
   for (const EngineKind kind :
@@ -222,24 +156,13 @@ TEST(UnifiedRun, EveryEngineAppliesTheSameWindowSemantics) {
   }
 }
 
-TEST(UnifiedRun, RejectsBorrowedPoolOnEngineWithoutPoolSupport) {
-  const auto portfolio = test_portfolio(1);
-  const auto yet_table = test_yet(20, 10.0);
-  parallel::ThreadPool pool(2);
-  AnalysisConfig config;
-  config.engine = EngineKind::kChunked;
-  config.pool = &pool;
-  EXPECT_THROW(core::run({portfolio, yet_table, config}), std::invalid_argument);
-}
-
-TEST(UnifiedRun, RejectsSimdExtensionNotCompiledIntoThisBuild) {
+TEST(UnifiedRun, RejectsLaneTypeNotRunnableOnThisHost) {
   const auto portfolio = test_portfolio(1);
   const auto yet_table = test_yet(20, 10.0);
   bool found_unavailable = false;
-  for (const auto extension :
-       {core::SimdExtension::kSse2, core::SimdExtension::kAvx2, core::SimdExtension::kAvx512,
-        core::SimdExtension::kNeon}) {
-    if (core::simd_extension_available(extension)) continue;
+  for (const auto extension : {simd::Extension::kSse2, simd::Extension::kAvx2,
+                               simd::Extension::kAvx512, simd::Extension::kNeon}) {
+    if (simd::mask_has(simd::runnable_extensions(), extension)) continue;
     found_unavailable = true;
     AnalysisConfig config;
     config.engine = EngineKind::kSimd;
@@ -260,26 +183,53 @@ TEST(UnifiedRun, EveryBitIdenticalEngineMatchesSequential) {
   const auto reference = core::run_sequential(portfolio, yet_table);
 
   std::size_t swept = 0;
-  for (const auto& engine : EngineRegistry::global().descriptors()) {
-    if (!engine.bit_identical_to_sequential || !engine.available_in_this_build) continue;
+  for (const EnginePreset& engine : core::kEnginePresets) {
+    if (!engine.bit_identical_to_sequential) continue;
     AnalysisConfig config;
-    config.engine_name = engine.name;
+    config.engine = engine.kind;
     config.num_threads = 3;
     SCOPED_TRACE(engine.name);
     expect_identical(reference, core::run({portfolio, yet_table, config}));
     ++swept;
   }
-  EXPECT_GE(swept, 7u);  // seq, parallel, chunked, openmp, simd, instrumented, fused
+  EXPECT_EQ(swept, 7u);  // seq, parallel, chunked, openmp, simd, fused, instrumented
+}
+
+TEST(UnifiedRun, BorrowedPoolIsBitIdenticalOrRejectedPerSchedule) {
+  // The derived pool rule for every preset: pool and costed schedules run
+  // on the borrowed pool and match run_sequential; serial and OpenMP
+  // schedules own their threads and reject it.
+  const auto portfolio = test_portfolio(3);
+  const auto yet_table = test_yet(300, 40.0);
+  const auto reference = core::run_sequential(portfolio, yet_table);
+  parallel::ThreadPool pool(3);
+  std::size_t accepted = 0;
+  for (const EnginePreset& engine : core::kEnginePresets) {
+    AnalysisConfig config;
+    config.engine = engine.kind;
+    config.pool = &pool;
+    SCOPED_TRACE(engine.name);
+    const bool pooled = engine.schedule == core::KernelLaunch::Schedule::kPool ||
+                        engine.schedule == core::KernelLaunch::Schedule::kCosted;
+    if (!pooled) {
+      EXPECT_THROW(core::run({portfolio, yet_table, config}), std::invalid_argument);
+      continue;
+    }
+    expect_identical(reference, core::run({portfolio, yet_table, config}));
+    expect_identical(reference, core::run({portfolio, yet_table, config}));  // pool still warm
+    ++accepted;
+  }
+  EXPECT_EQ(accepted, 4u);  // parallel, chunked, simd, fused
 }
 
 TEST(UnifiedRun, GenericLookupPathAlsoBitIdentical) {
   const auto portfolio = test_portfolio(3, elt::LookupKind::kRobinHood);
   const auto yet_table = test_yet(200, 40.0);
   const auto reference = core::run_sequential(portfolio, yet_table);
-  for (const auto& engine : EngineRegistry::global().descriptors()) {
-    if (!engine.bit_identical_to_sequential || !engine.available_in_this_build) continue;
+  for (const EnginePreset& engine : core::kEnginePresets) {
+    if (!engine.bit_identical_to_sequential) continue;
     AnalysisConfig config;
-    config.engine_name = engine.name;
+    config.engine = engine.kind;
     config.num_threads = 2;
     SCOPED_TRACE(engine.name);
     expect_identical(reference, core::run({portfolio, yet_table, config}));
@@ -298,21 +248,6 @@ TEST(UnifiedRun, FullYearWindowMatchesSequential) {
   expect_identical(reference, core::run({portfolio, yet_table, config}));
 }
 
-TEST(UnifiedRun, BorrowedPoolReusedAcrossRunsStaysBitIdentical) {
-  const auto portfolio = test_portfolio();
-  const auto yet_table = test_yet();
-  const auto reference = core::run_sequential(portfolio, yet_table);
-  parallel::ThreadPool pool(3);
-  for (const EngineKind kind : {EngineKind::kParallel, EngineKind::kSimd}) {
-    AnalysisConfig config;
-    config.engine = kind;
-    config.pool = &pool;
-    SCOPED_TRACE(core::to_string(kind));
-    expect_identical(reference, core::run({portfolio, yet_table, config}));
-    expect_identical(reference, core::run({portfolio, yet_table, config}));  // pool still warm
-  }
-}
-
 // --- Instrumentation facts ----------------------------------------------------
 
 TEST(UnifiedRun, SinkRecordsEngineAndSimdResolution) {
@@ -328,7 +263,7 @@ TEST(UnifiedRun, SinkRecordsEngineAndSimdResolution) {
   EXPECT_EQ(*sink.engine_used, EngineKind::kSimd);
   ASSERT_TRUE(sink.simd_extension_used.has_value());
   EXPECT_EQ(*sink.simd_extension_used,
-            core::resolve_simd_extension(portfolio, {1, core::SimdExtension::kAuto}));
+            core::resolve_simd_extension(portfolio, std::nullopt).extension);
   EXPECT_FALSE(sink.phases.has_value());  // only kInstrumented fills phases
 }
 
@@ -348,35 +283,6 @@ TEST(UnifiedRun, InstrumentedEngineFillsPhasesAndAccessCounts) {
   const auto predicted = core::predict_access_counts(portfolio, yet_table);
   EXPECT_EQ(sink.accesses->elt_lookups, predicted.elt_lookups);
   EXPECT_EQ(sink.accesses->events_fetched, predicted.events_fetched);
-}
-
-TEST(UnifiedRun, DispatchesByNameToCustomEngineSharingABuiltinKind) {
-  // EngineKind is a closed enum, so a runtime-registered backend reuses an
-  // existing kind; AnalysisConfig::engine_name must reach it anyway (kind
-  // lookup would find the builtin first).
-  static bool custom_ran = false;
-  EngineDescriptor custom;
-  custom.kind = EngineKind::kParallel;
-  custom.name = "custom-parallel";
-  custom.summary = "runtime-registered test engine";
-  custom.bit_identical_to_sequential = false;  // keep registry sweeps honest
-  custom.run = [](const AnalysisRequest& request) {
-    custom_ran = true;
-    return core::run_sequential(request.portfolio, request.yet_table);
-  };
-  EngineRegistry::global().register_engine(custom);
-
-  const auto portfolio = test_portfolio(1);
-  const auto yet_table = test_yet(30, 10.0);
-  AnalysisConfig config;
-  config.engine_name = "custom-parallel";
-  custom_ran = false;
-  const auto ylt = core::run({portfolio, yet_table, config});
-  EXPECT_TRUE(custom_ran) << "builtin kParallel adapter ran instead of the custom engine";
-  expect_identical(core::run_sequential(portfolio, yet_table), ylt);
-
-  config.engine_name = "no-such-engine";
-  EXPECT_THROW(core::run({portfolio, yet_table, config}), std::invalid_argument);
 }
 
 TEST(UnifiedRun, RunsWithoutSinkAndWithDefaults) {

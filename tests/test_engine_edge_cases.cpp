@@ -5,8 +5,7 @@
 
 #include <cmath>
 
-#include "core/engine.hpp"
-#include "core/openmp_engine.hpp"
+#include "core/analysis.hpp"
 #include "elt/synthetic.hpp"
 #include "financial/trial_accumulator.hpp"
 #include "rng/stream.hpp"
@@ -15,6 +14,14 @@
 namespace {
 
 using namespace are;
+using core::EngineKind;
+
+/// One engine preset through the front door.
+core::YearLossTable run_engine(const core::Portfolio& portfolio,
+                               const yet::YearEventTable& yet_table,
+                               core::AnalysisConfig config) {
+  return core::run({portfolio, yet_table, std::move(config)});
+}
 
 core::Portfolio one_layer_portfolio(const financial::LayerTerms& terms,
                                     std::size_t universe = 1'000) {
@@ -39,9 +46,10 @@ TEST(EngineEdge, AllTrialsEmpty) {
   const yet::YearEventTable yet_table({}, {}, {0, 0, 0, 0});
   const auto portfolio = one_layer_portfolio({});
   for (const auto& ylt :
-       {core::run_sequential(portfolio, yet_table), core::run_parallel(portfolio, yet_table, {2}),
-        core::run_chunked(portfolio, yet_table, {4, 1}),
-        core::run_openmp(portfolio, yet_table, 2)}) {
+       {core::run_sequential(portfolio, yet_table),
+        run_engine(portfolio, yet_table, {.engine = EngineKind::kParallel, .num_threads = 2}),
+        run_engine(portfolio, yet_table, {.engine = EngineKind::kChunked, .num_threads = 1}),
+        run_engine(portfolio, yet_table, {.engine = EngineKind::kOpenMp, .num_threads = 2})}) {
     ASSERT_EQ(ylt.num_trials(), 3u);
     for (std::size_t trial = 0; trial < 3; ++trial) {
       EXPECT_DOUBLE_EQ(ylt.at(0, trial), 0.0);
@@ -58,7 +66,10 @@ TEST(EngineEdge, SingleTrialSingleEvent) {
   layer.elts.push_back({elt::make_lookup(elt::LookupKind::kDirectAccess, table, 10), {}});
   portfolio.layers.push_back(std::move(layer));
   EXPECT_DOUBLE_EQ(core::run_sequential(portfolio, yet_table).at(0, 0), 123.0);
-  EXPECT_DOUBLE_EQ(core::run_chunked(portfolio, yet_table, {16, 1}).at(0, 0), 123.0);
+  EXPECT_DOUBLE_EQ(run_engine(portfolio, yet_table,
+                              {.engine = EngineKind::kChunked, .num_threads = 1, .chunk_size = 16})
+                       .at(0, 0),
+                   123.0);
 }
 
 TEST(EngineEdge, OneGiantTrialAmongTiny) {
@@ -81,11 +92,11 @@ TEST(EngineEdge, OneGiantTrialAmongTiny) {
   const auto sequential = core::run_sequential(portfolio, yet_table);
   for (const auto partition : {parallel::Partition::kStatic, parallel::Partition::kDynamic,
                                parallel::Partition::kGuided}) {
-    core::ParallelOptions options;
-    options.num_threads = 4;
-    options.partition = partition;
-    options.chunk = 2;
-    const auto parallel_ylt = core::run_parallel(portfolio, yet_table, options);
+    const auto parallel_ylt = run_engine(portfolio, yet_table,
+                                         {.engine = EngineKind::kParallel,
+                                          .num_threads = 4,
+                                          .partition = partition,
+                                          .partition_chunk = 2});
     for (std::size_t trial = 0; trial < 16; ++trial) {
       ASSERT_EQ(parallel_ylt.at(0, trial), sequential.at(0, trial));
     }
@@ -213,9 +224,13 @@ TEST_P(EngineInvariants, TrialLossEqualsAggregateBandOfOccurrenceSum) {
 TEST_P(EngineInvariants, AllEnginesAgreeOnRandomSetups) {
   const Setup setup = random_setup(GetParam());
   const auto sequential = core::run_sequential(setup.portfolio, setup.yet_table);
-  const auto parallel_ylt = core::run_parallel(setup.portfolio, setup.yet_table, {3});
-  const auto chunked = core::run_chunked(setup.portfolio, setup.yet_table, {5, 1});
-  const auto omp = core::run_openmp(setup.portfolio, setup.yet_table, 2);
+  const auto parallel_ylt = run_engine(setup.portfolio, setup.yet_table,
+                                       {.engine = EngineKind::kParallel, .num_threads = 3});
+  const auto chunked = run_engine(setup.portfolio, setup.yet_table,
+                                  {.engine = EngineKind::kChunked, .num_threads = 1,
+                                   .chunk_size = 5});
+  const auto omp = run_engine(setup.portfolio, setup.yet_table,
+                              {.engine = EngineKind::kOpenMp, .num_threads = 2});
   for (std::size_t trial = 0; trial < sequential.num_trials(); ++trial) {
     ASSERT_EQ(sequential.at(0, trial), parallel_ylt.at(0, trial));
     ASSERT_EQ(sequential.at(0, trial), chunked.at(0, trial));

@@ -352,7 +352,7 @@ TEST_F(Fault, KernelAllocSiteSurfacesAsBadAllocFromEveryEngine) {
   const auto yet_table = make_yet();
   for (const char* engine : {"seq", "parallel", "fused"}) {
     core::AnalysisConfig config;
-    config.engine_name = engine;
+    config.engine = core::engine_preset(engine).kind;
     config.num_threads = 2;
     config.faults = "kernel.alloc=always";  // RAII-armed for this run only
     EXPECT_THROW((void)core::run({portfolio, yet_table, config}), std::bad_alloc) << engine;
@@ -367,7 +367,7 @@ TEST_F(Fault, PreCancelledTokenStopsEveryEngineBetweenBlocks) {
   token.cancel();
   for (const char* engine : {"seq", "parallel", "fused"}) {
     core::AnalysisConfig config;
-    config.engine_name = engine;
+    config.engine = core::engine_preset(engine).kind;
     config.num_threads = 2;
     config.cancel = &token;
     try {

@@ -1,7 +1,7 @@
 // Tests for the fused trial-tiled engine: bit-identical equivalence with
 // run_sequential across every lookup representation x tile size x thread
 // count x scheduling policy, determinism under dynamic scheduling, the
-// windowed semantics, pool reuse through the unified API, and the batch
+// window semantics, pool reuse through the unified API, and the batch
 // lookup_many overrides against scalar lookup for every table type.
 #include <gtest/gtest.h>
 
@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "core/analysis.hpp"
-#include "core/engine_registry.hpp"
-#include "core/fused_engine.hpp"
 #include "elt/synthetic.hpp"
 #include "parallel/thread_pool.hpp"
 #include "yet/generator.hpp"
@@ -20,11 +18,23 @@
 namespace {
 
 using namespace are;
-using core::FusedOptions;
 using core::Portfolio;
 using core::YearLossTable;
 
 constexpr std::size_t kUniverse = 20'000;
+
+/// The fused preset through the front door.
+YearLossTable fused_run(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
+                        std::size_t tile_trials, std::size_t threads,
+                        parallel::Partition partition = parallel::Partition::kDynamic,
+                        std::optional<core::CoverageWindow> window = std::nullopt) {
+  return core::run({portfolio, yet_table,
+                    {.engine = core::EngineKind::kFused,
+                     .num_threads = threads,
+                     .partition = partition,
+                     .tile_trials = tile_trials,
+                     .window = window}});
+}
 
 Portfolio synthetic_portfolio(std::size_t num_layers, std::size_t elts_per_layer,
                               elt::LookupKind kind = elt::LookupKind::kDirectAccess) {
@@ -89,13 +99,10 @@ TEST_P(FusedEquivalence, BitIdenticalToSequential) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
     for (const auto partition : {parallel::Partition::kStatic, parallel::Partition::kDynamic,
                                  parallel::Partition::kGuided}) {
-      FusedOptions options;
-      options.tile_trials = tile;
-      options.num_threads = threads;
-      options.partition = partition;
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " partition=" + std::to_string(static_cast<int>(partition)));
-      expect_identical(sequential, core::run_fused(portfolio, yet_table, options));
+      expect_identical(sequential,
+                       fused_run(portfolio, yet_table, tile, threads, partition));
     }
   }
 }
@@ -133,7 +140,7 @@ TEST(FusedEngine, MixedLookupKindsAcrossElts) {
 
   const auto yet_table = skewed_yet(300, 40.0);
   expect_identical(core::run_sequential(portfolio, yet_table),
-                   core::run_fused(portfolio, yet_table, {32, 3}));
+                   fused_run(portfolio, yet_table, 32, 3));
 }
 
 // --- Determinism under dynamic scheduling -------------------------------------
@@ -142,13 +149,11 @@ TEST(FusedEngine, DynamicSchedulingIsDeterministic) {
   const Portfolio portfolio = synthetic_portfolio(2, 4);
   const auto yet_table = skewed_yet(500, 60.0);
 
-  FusedOptions options;
-  options.tile_trials = 16;
-  options.num_threads = 0;  // hardware concurrency
-  options.partition = parallel::Partition::kDynamic;
-
-  const auto first = core::run_fused(portfolio, yet_table, options);
-  const auto second = core::run_fused(portfolio, yet_table, options);
+  // Hardware concurrency, dynamic tile claiming.
+  const auto first =
+      fused_run(portfolio, yet_table, 16, 0, parallel::Partition::kDynamic);
+  const auto second =
+      fused_run(portfolio, yet_table, 16, 0, parallel::Partition::kDynamic);
   for (std::size_t layer = 0; layer < first.num_layers(); ++layer) {
     const auto a = first.layer_losses(layer);
     const auto b = second.layer_losses(layer);
@@ -164,31 +169,26 @@ TEST(FusedEngine, WindowMatchesWindowedEngine) {
   const auto yet_table = skewed_yet(300, 50.0);
   const core::CoverageWindow window{0.25f, 0.75f};
 
-  FusedOptions options;
-  options.tile_trials = 32;
-  options.num_threads = 4;
-  options.window = window;
-  expect_identical(core::run_windowed(portfolio, yet_table, window),
-                   core::run_fused(portfolio, yet_table, options));
+  expect_identical(
+      core::run({portfolio, yet_table, {.engine = core::EngineKind::kWindowed, .window = window}}),
+      fused_run(portfolio, yet_table, 32, 4, parallel::Partition::kDynamic, window));
 }
 
 TEST(FusedEngine, FullYearWindowMatchesSequential) {
   const Portfolio portfolio = synthetic_portfolio(1, 3);
   const auto yet_table = skewed_yet(200, 40.0);
-  FusedOptions options;
-  options.window = core::CoverageWindow{0.0f, 1.0f};
   expect_identical(core::run_sequential(portfolio, yet_table),
-                   core::run_fused(portfolio, yet_table, options));
+                   fused_run(portfolio, yet_table, 0, 0, parallel::Partition::kDynamic,
+                                    core::CoverageWindow{0.0f, 1.0f}));
 }
 
 // --- Unified API integration --------------------------------------------------
 
-TEST(FusedEngine, ReachableThroughRegistryWithPoolReuse) {
-  const auto& descriptor = core::EngineRegistry::global().require("fused");
-  EXPECT_EQ(descriptor.kind, core::EngineKind::kFused);
-  EXPECT_TRUE(descriptor.supports_windowing);
-  EXPECT_TRUE(descriptor.supports_pool_reuse);
-  EXPECT_TRUE(descriptor.bit_identical_to_sequential);
+TEST(FusedEngine, ReachableByNameWithPoolReuse) {
+  const core::EnginePreset& preset = core::engine_preset("fused");
+  EXPECT_EQ(preset.kind, core::EngineKind::kFused);
+  EXPECT_TRUE(preset.accepts_pool());
+  EXPECT_TRUE(preset.bit_identical_to_sequential);
 
   const Portfolio portfolio = synthetic_portfolio(1, 3);
   const auto yet_table = skewed_yet(200, 40.0);
@@ -212,7 +212,7 @@ TEST(FusedEngine, ZeroTileSelectsHeuristicAndStaysBitIdentical) {
   EXPECT_GE(tile, 16u);
   EXPECT_LE(tile, 4096u);
   expect_identical(core::run_sequential(portfolio, yet_table),
-                   core::run_fused(portfolio, yet_table, {0, 1}));
+                   fused_run(portfolio, yet_table, 0, 1));
 
   core::AnalysisConfig config;
   config.tile_trials = 0;  // valid now: selects the heuristic
@@ -289,7 +289,7 @@ TEST(FusedEngine, CollectPhasesWorksOnEveryKernelEngine) {
 TEST(FusedEngine, EmptyYetYieldsZeroTrials) {
   const Portfolio portfolio = synthetic_portfolio(1, 1);
   const yet::YearEventTable empty;
-  const auto ylt = core::run_fused(portfolio, empty, {64, 2});
+  const auto ylt = fused_run(portfolio, empty, 64, 2);
   EXPECT_EQ(ylt.num_trials(), 0u);
 }
 

@@ -2,8 +2,10 @@
 // and corruption detection.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
+#include "core/status.hpp"
 #include "core/year_loss_table.hpp"
 #include "io/binary.hpp"
 #include "io/csv.hpp"
@@ -155,6 +157,26 @@ TEST(Binary, Fnv1aKnownValues) {
   // FNV-1a 64 of "a" and "" (published constants).
   EXPECT_EQ(io::fnv1a("", 0), 0xcbf29ce484222325ULL);
   EXPECT_EQ(io::fnv1a("a", 1), 0xaf63dc4c8601ec8cULL);
+}
+
+TEST(Binary, RejectsLengthFieldBeyondTheStreamBeforeAllocating) {
+  // A corrupt count field must fail as data corruption, not as a 64 GB
+  // allocation attempt: the length is checked against the bytes left.
+  yet::YetConfig config;
+  config.num_trials = 10;
+  config.events_per_trial = 5.0;
+  std::stringstream stream;
+  io::write_yet_binary(stream, yet::generate_uniform_yet(config, 100));
+  std::string bytes = stream.str();
+  const std::uint64_t huge = 1ULL << 33;
+  std::memcpy(bytes.data() + 8, &huge, sizeof huge);  // after magic + version
+  std::stringstream corrupted(bytes);
+  try {
+    (void)io::read_yet_binary(corrupted);
+    FAIL() << "expected StatusError";
+  } catch (const core::StatusError& error) {
+    EXPECT_EQ(error.code(), core::StatusCode::kDataCorruption) << error.what();
+  }
 }
 
 TEST(Binary, EmptyEltRoundTrip) {

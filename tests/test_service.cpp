@@ -12,9 +12,15 @@
 //   - AnalysisService cold -> cached -> delta flow, durable updates,
 //     rejection, and concurrent quoting;
 //   - concurrent core::run() hammering one borrowed pool + shared tables;
-//   - the line protocol (handle_line) and a full AF_UNIX round trip.
+//   - the line protocol (handle_line), a full AF_UNIX round trip, and the
+//     bound on an unterminated request line.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -120,7 +126,7 @@ TEST_F(Service, GroundUpReplayIsBitIdenticalAcrossEnginesAndSinks) {
     core::GroundUpLossCache cache(portfolio.layers.size(), yet_table.total_events());
     {
       core::AnalysisConfig config;
-      config.engine_name = engine;
+      config.engine = core::engine_preset(engine).kind;
       config.num_threads = 2;
       config.ground_up_capture = &cache;
       (void)core::run({portfolio, yet_table, config});
@@ -131,7 +137,7 @@ TEST_F(Service, GroundUpReplayIsBitIdenticalAcrossEnginesAndSinks) {
 
     for (const bool windowed : {false, true}) {
       core::AnalysisConfig config;
-      config.engine_name = engine;
+      config.engine = core::engine_preset(engine).kind;
       config.num_threads = 2;
       if (windowed) config.window = core::CoverageWindow{0.25f, 0.75f};
 
@@ -168,7 +174,7 @@ TEST_F(Service, ReplaySkipsLookupAndFinancialPhasesEntirely) {
     // layers through lookup_many, so the lookup counters tick (the fast
     // path's raw gathers intentionally bypass them).
     core::AnalysisConfig config;
-    config.engine_name = "instrumented";
+    config.engine = core::EngineKind::kInstrumented;
     config.ground_up_capture = &cache;
     (void)core::run({portfolio, yet_table, config});
   }
@@ -180,7 +186,7 @@ TEST_F(Service, ReplaySkipsLookupAndFinancialPhasesEntirely) {
   obs::TelemetryRegistry::global().reset();
   core::InstrumentationSink sink;
   core::AnalysisConfig config;
-  config.engine_name = "instrumented";
+  config.engine = core::EngineKind::kInstrumented;
   config.collect_phases = true;
   config.instrumentation = &sink;
   config.ground_up_replay = &cache;
@@ -213,7 +219,7 @@ TEST_F(Service, GroundUpCacheValidation) {
 
   for (core::GroundUpLossCache* wrong : {&bad_layers, &bad_events}) {
     core::AnalysisConfig config;
-    config.engine_name = "seq";
+    config.engine = core::EngineKind::kSequential;
     config.ground_up_replay = wrong;
     EXPECT_THROW((void)core::run({portfolio, yet_table, config}), std::invalid_argument);
     config.ground_up_replay = nullptr;
@@ -483,7 +489,7 @@ TEST_F(Service, ConcurrentRunsShareOnePoolAndStayBitIdentical) {
   parallel::ThreadPool pool(4);
 
   core::AnalysisConfig config;
-  config.engine_name = "parallel";
+  config.engine = core::EngineKind::kParallel;
   const auto reference = core::run({portfolio, yet_table, config});
 
   constexpr std::size_t kThreads = 6;
@@ -493,7 +499,7 @@ TEST_F(Service, ConcurrentRunsShareOnePoolAndStayBitIdentical) {
     threads.emplace_back([&, t] {
       core::AnalysisConfig run_config;
       // Alternate pool-reusing engines; all submit into the one borrowed pool.
-      run_config.engine_name = t % 2 == 0 ? "parallel" : "fused";
+      run_config.engine = t % 2 == 0 ? core::EngineKind::kParallel : core::EngineKind::kFused;
       run_config.pool = &pool;
       results[t] = core::run({portfolio, yet_table, run_config});
     });
@@ -558,6 +564,50 @@ TEST_F(Service, SocketRoundTrip) {
             std::string::npos);
   serving.join();
   EXPECT_FALSE(std::filesystem::exists(socket_path));
+}
+
+TEST_F(Service, OversizedRequestLineIsRejectedAndTheServerKeepsServing) {
+  auto service_ptr = make_service();
+  const std::string socket_path =
+      (std::filesystem::temp_directory_path() / "are_test_service_oversized.sock").string();
+  service::Server server(*service_ptr, {.socket_path = socket_path});
+  std::thread serving([&] { server.serve(); });
+  while (!std::filesystem::exists(socket_path)) std::this_thread::yield();
+
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    server.request_stop();
+    serving.join();
+    FAIL() << "cannot connect to " << socket_path;
+  }
+  // One byte past the bound, never terminated by a newline.
+  const std::string flood(service::Server::kMaxLineBytes + 1, 'x');
+  for (std::size_t sent = 0; sent < flood.size();) {
+    const ssize_t n = ::send(fd, flood.data() + sent, flood.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;  // the assertions below report a short write
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string response;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n <= 0) break;  // the server closed the connection after its error line
+    response.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_NE(response.find("\"status\":\"error\""), std::string::npos) << response;
+  EXPECT_NE(response.find("\"code\":\"invalid-argument\""), std::string::npos) << response;
+  EXPECT_EQ(std::count(response.begin(), response.end(), '\n'), 1) << response;
+
+  // A fresh connection is still answered.
+  EXPECT_EQ(service::Server::round_trip(socket_path, "PING"),
+            "{\"status\":\"ok\",\"pong\":true}");
+  service::Server::round_trip(socket_path, "SHUTDOWN");
+  serving.join();
 }
 
 }  // namespace

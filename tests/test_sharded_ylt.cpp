@@ -1,5 +1,5 @@
 // Tests for the sharded out-of-core YLT (src/shard/): sharded-vs-
-// materialized bit-identity across sink-capable engines x shard sizes
+// materialized bit-identity across engine presets x shard sizes
 // (including shard size 1 and one shard spanning every trial), forced
 // spill-and-restore under a tiny memory budget, spill round-trip fidelity
 // at the store and io levels, the YltSink contract, and shard-wise
@@ -15,8 +15,6 @@
 
 #include "core/analysis.hpp"
 #include "core/engine.hpp"
-#include "core/engine_registry.hpp"
-#include "core/fused_engine.hpp"
 #include "elt/synthetic.hpp"
 #include "io/binary.hpp"
 #include "io/csv.hpp"
@@ -87,9 +85,7 @@ void expect_identical(const YearLossTable& a, const YearLossTable& b) {
 core::AnalysisConfig sharded_config(std::string engine, std::uint64_t shard_trials,
                                     std::size_t budget_bytes = 0) {
   core::AnalysisConfig config;
-  const auto& descriptor = core::EngineRegistry::global().require(engine);
-  config.engine = descriptor.kind;
-  config.engine_name = descriptor.name;
+  config.engine = core::engine_preset(engine).kind;
   config.output = core::OutputMode::kSharded;
   config.sharding.shard_trials = shard_trials;
   config.sharding.memory_budget_bytes = budget_bytes;
@@ -324,7 +320,7 @@ TEST(YltSink, SequentialToMaterializedSinkMatchesSequential) {
   for (const auto& layer : portfolio.layers) ids.push_back(layer.id);
   YearLossTable ylt(ids, yet_table.num_trials());
   core::MaterializedYltSink sink(ylt);
-  core::run_sequential_to_sink(portfolio, yet_table, sink);
+  core::run_to_sink({portfolio, yet_table, {.engine = core::EngineKind::kSequential}}, sink);
   expect_identical(sequential, ylt);
 }
 
@@ -339,32 +335,12 @@ TEST(YltSink, ShardedSinkRejectsBlocksCrossingShards) {
   EXPECT_THROW(sink.emit(0, 95, {block.data(), 10}), std::out_of_range);  // past the end
 }
 
-TEST(YltSink, RunRejectsShardedOutputAndSinklessEngines) {
+TEST(YltSink, RunRejectsShardedOutputAndZeroShardTrials) {
   const Portfolio portfolio = synthetic_portfolio(1, 1);
   const auto yet_table = skewed_yet(10, 5.0);
 
   // run() serves materialized output only.
   EXPECT_THROW(core::run({portfolio, yet_table, sharded_config("seq", 4)}),
-               std::invalid_argument);
-
-  // Every kernel-backed builtin carries a run_to_sink adapter now.
-  const auto& registry = core::EngineRegistry::global();
-  for (const char* name :
-       {"seq", "parallel", "chunked", "openmp", "simd", "windowed", "instrumented", "fused"}) {
-    EXPECT_TRUE(registry.require(name).supports_sharded_output()) << name;
-  }
-
-  // A custom engine without a run_to_sink adapter still rejects sharded
-  // execution.
-  core::EngineDescriptor sinkless;
-  sinkless.kind = core::EngineKind::kSequential;
-  sinkless.name = "sinkless";
-  sinkless.summary = "test double without a sink adapter";
-  sinkless.run = [](const core::AnalysisRequest& request) {
-    return core::run_sequential(request.portfolio, request.yet_table);
-  };
-  core::EngineRegistry::global().register_engine(sinkless);
-  EXPECT_THROW(shard::run_sharded({portfolio, yet_table, sharded_config("sinkless", 4)}),
                std::invalid_argument);
 
   // shard_trials == 0 is rejected by config validation.

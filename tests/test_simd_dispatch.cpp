@@ -12,7 +12,6 @@
 
 #include "core/analysis.hpp"
 #include "core/engine.hpp"
-#include "core/engine_registry.hpp"
 #include "elt/cuckoo_table.hpp"
 #include "elt/probe_dispatch.hpp"
 #include "elt/robin_hood_table.hpp"
@@ -250,8 +249,7 @@ TEST(SimdDispatchIdentity, EveryRuntimeOverrideIsByteIdentical) {
       for (const char* engine : {"simd", "fused"}) {
         SCOPED_TRACE(std::string(engine) + " under ARE_SIMD_EXT=" + std::string(simd::name_of(extension)));
         core::AnalysisConfig config;
-        config.engine_name = engine;
-        config.engine = core::EngineRegistry::global().require(engine).kind;
+        config.engine = core::engine_preset(engine).kind;
         config.num_threads = 2;
         const std::string csv =
             ylt_csv(core::run({portfolio, yet_table, std::move(config)}));

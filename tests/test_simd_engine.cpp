@@ -1,6 +1,6 @@
 // Tests for the SIMD batch-execution subsystem: the vec.hpp lane
 // abstraction, the TrialBatch structure-of-arrays transpose, and
-// bit-identical equivalence of run_simd against run_sequential across
+// bit-identical equivalence of the simd preset against run_sequential across
 // lookup representations, lane widths, thread counts, and the financial
 // edge cases (empty ELTs, unlimited limits, share == 1.0, trial counts not
 // divisible by the lane width).
@@ -10,8 +10,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/engine.hpp"
-#include "core/simd_engine.hpp"
+#include "core/analysis.hpp"
 #include "elt/synthetic.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/trial_batch.hpp"
@@ -24,20 +23,32 @@ using namespace are;
 using core::Layer;
 using core::LayerElt;
 using core::Portfolio;
-using core::SimdExtension;
-using core::SimdOptions;
 using core::YearLossTable;
+using simd::Extension;
 
 constexpr std::size_t kUniverse = 20'000;
 
-std::vector<SimdExtension> available_extensions() {
-  std::vector<SimdExtension> extensions;
-  for (SimdExtension extension :
-       {SimdExtension::kScalar, SimdExtension::kSse2, SimdExtension::kAvx2,
-        SimdExtension::kAvx512, SimdExtension::kNeon}) {
-    if (core::simd_extension_available(extension)) extensions.push_back(extension);
+bool runnable(Extension extension) {
+  return simd::mask_has(simd::runnable_extensions(), extension);
+}
+
+std::vector<Extension> available_extensions() {
+  std::vector<Extension> extensions;
+  for (Extension extension : {Extension::kScalar, Extension::kSse2, Extension::kAvx2,
+                              Extension::kAvx512, Extension::kNeon}) {
+    if (runnable(extension)) extensions.push_back(extension);
   }
   return extensions;
+}
+
+/// The simd preset through the front door; std::nullopt = auto lanes.
+YearLossTable simd_run(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
+                       std::optional<Extension> extension = std::nullopt,
+                       std::size_t threads = 1) {
+  return core::run({portfolio, yet_table,
+                    {.engine = core::EngineKind::kSimd,
+                     .num_threads = threads,
+                     .simd_extension = extension}});
 }
 
 /// A hand-checkable YET: trial 0 = events {0, 1}, trial 1 = {2},
@@ -166,37 +177,35 @@ TEST(SimdVec, NeonOps) { check_vec_ops<simd::VecD<simd::neon_ext>>(); }
 #endif
 
 TEST(SimdVec, BestExtensionIsAvailable) {
-  EXPECT_TRUE(core::simd_extension_available(core::best_simd_extension()));
-  // kAuto's lane width is the runtime dispatch decision's width, not the
+  EXPECT_TRUE(runnable(simd::best_extension()));
+  // Auto resolves through the runtime dispatch decision, not the
   // compile-time simd::kBestLanes of this TU — on a baseline build the
   // runtime choice is wider than anything this TU was compiled with.
-  EXPECT_EQ(core::simd_lane_width(SimdExtension::kAuto),
-            simd::lanes_of(simd::best_extension()));
-  EXPECT_EQ(core::simd_lane_width(SimdExtension::kScalar), 1u);
+  EXPECT_EQ(core::resolve_simd_extension(tiny_portfolio(financial::LayerTerms{}), std::nullopt)
+                .extension,
+            simd::best_extension());
+  EXPECT_EQ(simd::lanes_of(Extension::kScalar), 1u);
 }
 
 TEST(SimdVec, UnavailableExtensionThrows) {
-  for (SimdExtension extension :
-       {SimdExtension::kSse2, SimdExtension::kAvx2, SimdExtension::kAvx512,
-        SimdExtension::kNeon}) {
-    if (core::simd_extension_available(extension)) continue;
-    SimdOptions options;
-    options.extension = extension;
-    EXPECT_THROW(core::run_simd(tiny_portfolio(financial::LayerTerms{}), tiny_yet(), options),
-                 std::invalid_argument);
-    EXPECT_THROW(core::simd_lane_width(extension), std::invalid_argument);
+  const Portfolio portfolio = tiny_portfolio(financial::LayerTerms{});
+  for (Extension extension :
+       {Extension::kSse2, Extension::kAvx2, Extension::kAvx512, Extension::kNeon}) {
+    if (runnable(extension)) continue;
+    EXPECT_THROW(simd_run(portfolio, tiny_yet(), extension), std::invalid_argument);
+    EXPECT_THROW(core::resolve_simd_extension(portfolio, extension), std::invalid_argument);
   }
 }
 
 TEST(SimdVec, AutoNarrowsForMemoryBoundPortfolios) {
-  const SimdExtension best = core::best_simd_extension();
-  const SimdOptions auto_options;
+  const Extension best = simd::best_extension();
   // A tiny cache-resident portfolio resolves to the widest extension.
-  EXPECT_EQ(core::resolve_simd_extension(tiny_portfolio(financial::LayerTerms{}), auto_options),
+  EXPECT_EQ(core::resolve_simd_extension(tiny_portfolio(financial::LayerTerms{}), std::nullopt)
+                .extension,
             best);
-  if (best == SimdExtension::kAvx2 || best == SimdExtension::kAvx512) {
+  if (best == Extension::kAvx2 || best == Extension::kAvx512) {
     // One direct ELT over a 2M-event universe (16 MB dense table) exceeds
-    // the wide-lane footprint threshold, so kAuto narrows to SSE2.
+    // the wide-lane footprint threshold, so auto narrows to SSE2.
     Layer layer;
     layer.id = 1;
     LayerElt layer_elt;
@@ -204,11 +213,10 @@ TEST(SimdVec, AutoNarrowsForMemoryBoundPortfolios) {
     layer.elts.push_back(std::move(layer_elt));
     Portfolio portfolio;
     portfolio.layers.push_back(std::move(layer));
-    EXPECT_EQ(core::resolve_simd_extension(portfolio, auto_options), SimdExtension::kSse2);
+    EXPECT_EQ(core::resolve_simd_extension(portfolio, std::nullopt).extension,
+              Extension::kSse2);
     // An explicit extension request is never overridden.
-    SimdOptions forced;
-    forced.extension = best;
-    EXPECT_EQ(core::resolve_simd_extension(portfolio, forced), best);
+    EXPECT_EQ(core::resolve_simd_extension(portfolio, best).extension, best);
   }
 }
 
@@ -267,14 +275,12 @@ TEST(SimdEngine, HandComputedCombinedTerms) {
   terms.aggregate_retention = 60.0;
   terms.aggregate_limit = 120.0;
   // Same expectations as the sequential engine's hand-computed case.
-  for (SimdExtension extension : available_extensions()) {
-    SimdOptions options;
-    options.extension = extension;
-    const auto ylt = core::run_simd(tiny_portfolio(terms), tiny_yet(), options);
-    EXPECT_DOUBLE_EQ(ylt.at(0, 0), 0.0) << to_string(extension);
-    EXPECT_DOUBLE_EQ(ylt.at(0, 1), 90.0) << to_string(extension);
-    EXPECT_DOUBLE_EQ(ylt.at(0, 2), 0.0) << to_string(extension);
-    EXPECT_DOUBLE_EQ(ylt.at(0, 3), 120.0) << to_string(extension);
+  for (Extension extension : available_extensions()) {
+    const auto ylt = simd_run(tiny_portfolio(terms), tiny_yet(), extension);
+    EXPECT_DOUBLE_EQ(ylt.at(0, 0), 0.0) << core::to_string(extension);
+    EXPECT_DOUBLE_EQ(ylt.at(0, 1), 90.0) << core::to_string(extension);
+    EXPECT_DOUBLE_EQ(ylt.at(0, 2), 0.0) << core::to_string(extension);
+    EXPECT_DOUBLE_EQ(ylt.at(0, 3), 120.0) << core::to_string(extension);
   }
 }
 
@@ -287,11 +293,9 @@ TEST(SimdEngine, MatchesSequentialOnEveryLookupKind) {
         elt::LookupKind::kRobinHood, elt::LookupKind::kCuckoo, elt::LookupKind::kPagedDirect}) {
     const auto portfolio = synthetic_portfolio(2, 3, kind);
     const auto reference = core::run_sequential(portfolio, yet_table);
-    for (SimdExtension extension : available_extensions()) {
-      SimdOptions options;
-      options.extension = extension;
-      SCOPED_TRACE(std::string(to_string(kind)) + "/" + std::string(to_string(extension)));
-      expect_identical(core::run_simd(portfolio, yet_table, options), reference);
+    for (Extension extension : available_extensions()) {
+      SCOPED_TRACE(std::string(to_string(kind)) + "/" + std::string(core::to_string(extension)));
+      expect_identical(simd_run(portfolio, yet_table, extension), reference);
     }
   }
 }
@@ -302,11 +306,9 @@ TEST(SimdEngine, LaneWidthIndependentOnRaggedTrialCounts) {
     const auto yet_table = synthetic_yet(trials, 25.0);
     const auto portfolio = synthetic_portfolio(1, 2);
     const auto reference = core::run_sequential(portfolio, yet_table);
-    for (SimdExtension extension : available_extensions()) {
-      SimdOptions options;
-      options.extension = extension;
-      SCOPED_TRACE(std::to_string(trials) + " trials / " + std::string(to_string(extension)));
-      expect_identical(core::run_simd(portfolio, yet_table, options), reference);
+    for (Extension extension : available_extensions()) {
+      SCOPED_TRACE(std::to_string(trials) + " trials / " + std::string(core::to_string(extension)));
+      expect_identical(simd_run(portfolio, yet_table, extension), reference);
     }
   }
 }
@@ -332,10 +334,8 @@ TEST(SimdEngine, MatchesSequentialWithEmptyElt) {
 
   const auto yet_table = synthetic_yet(101, 30.0);
   const auto reference = core::run_sequential(portfolio, yet_table);
-  for (SimdExtension extension : available_extensions()) {
-    SimdOptions options;
-    options.extension = extension;
-    expect_identical(core::run_simd(portfolio, yet_table, options), reference);
+  for (Extension extension : available_extensions()) {
+    expect_identical(simd_run(portfolio, yet_table, extension), reference);
   }
 }
 
@@ -355,10 +355,8 @@ TEST(SimdEngine, MatchesSequentialWithUnlimitedLimitsAndFullShare) {
   }
   const auto yet_table = synthetic_yet(97, 35.0);
   const auto reference = core::run_sequential(portfolio, yet_table);
-  for (SimdExtension extension : available_extensions()) {
-    SimdOptions options;
-    options.extension = extension;
-    expect_identical(core::run_simd(portfolio, yet_table, options), reference);
+  for (Extension extension : available_extensions()) {
+    expect_identical(simd_run(portfolio, yet_table, extension), reference);
   }
 }
 
@@ -369,19 +367,19 @@ TEST(SimdEngine, ThreadCompositionIsBitIdentical) {
   const auto portfolio = synthetic_portfolio(2, 2);
   const auto reference = core::run_sequential(portfolio, yet_table);
   for (const std::size_t threads : {1u, 2u, 3u, 7u}) {
-    SimdOptions options;
-    options.num_threads = threads;
     SCOPED_TRACE(threads);
-    expect_identical(core::run_simd(portfolio, yet_table, options), reference);
+    expect_identical(simd_run(portfolio, yet_table, std::nullopt, threads), reference);
   }
 }
 
 TEST(SimdEngine, MatchesOtherEngines) {
   const auto yet_table = synthetic_yet(128, 40.0);
   const auto portfolio = synthetic_portfolio(2, 3);
-  const auto simd_ylt = core::run_simd(portfolio, yet_table);
-  expect_identical(simd_ylt, core::run_parallel(portfolio, yet_table));
-  expect_identical(simd_ylt, core::run_chunked(portfolio, yet_table));
+  const auto simd_ylt = simd_run(portfolio, yet_table);
+  expect_identical(simd_ylt,
+                   core::run({portfolio, yet_table, {.engine = core::EngineKind::kParallel}}));
+  expect_identical(simd_ylt,
+                   core::run({portfolio, yet_table, {.engine = core::EngineKind::kChunked}}));
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 
 #include "core/analysis.hpp"
 #include "core/engine.hpp"
-#include "core/engine_registry.hpp"
 #include "elt/cuckoo_table.hpp"
 #include "elt/direct_access_table.hpp"
 #include "elt/paged_direct_table.hpp"
@@ -361,7 +360,6 @@ TEST_F(Telemetry, OutputPhaseAppearsOnShardedInstrumentedRuns) {
   core::InstrumentationSink sink;
   core::AnalysisConfig config;
   config.engine = core::EngineKind::kFused;
-  config.engine_name = "fused";
   config.collect_phases = true;
   config.instrumentation = &sink;
   config.output = core::OutputMode::kSharded;
@@ -378,10 +376,9 @@ TEST_F(Telemetry, OutputPhaseAppearsOnShardedInstrumentedRuns) {
 // --- Bit-identity: telemetry on vs. off, every engine x sink ------------------
 
 std::string materialized_csv(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                             const core::EngineDescriptor& engine, bool telemetry) {
+                             const core::EnginePreset& engine, bool telemetry) {
   core::AnalysisConfig config;
   config.engine = engine.kind;
-  config.engine_name = engine.name;
   config.telemetry.counters = telemetry;
   config.telemetry.trace = telemetry;
   const auto ylt = core::run({portfolio, yet_table, config});
@@ -391,10 +388,9 @@ std::string materialized_csv(const Portfolio& portfolio, const yet::YearEventTab
 }
 
 std::string sharded_csv(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                        const core::EngineDescriptor& engine, bool telemetry) {
+                        const core::EnginePreset& engine, bool telemetry) {
   core::AnalysisConfig config;
   config.engine = engine.kind;
-  config.engine_name = engine.name;
   config.output = core::OutputMode::kSharded;
   config.sharding.shard_trials = 25;
   // 2 layers x 25 trials x 8 B = 400 B per shard: a one-shard budget forces
@@ -413,9 +409,8 @@ TEST_F(Telemetry, OnOffBitIdentityForEveryEngineAndSink) {
   const auto yet_table = small_yet(150, 20.0);
 
   std::size_t engines_checked = 0;
-  for (const core::EngineDescriptor& engine :
-       core::EngineRegistry::global().descriptors()) {
-    if (!engine.available_in_this_build || !engine.bit_identical_to_sequential) continue;
+  for (const core::EnginePreset& engine : core::kEnginePresets) {
+    if (!engine.bit_identical_to_sequential) continue;
     SCOPED_TRACE(engine.name);
     ++engines_checked;
 
@@ -426,14 +421,12 @@ TEST_F(Telemetry, OnOffBitIdentityForEveryEngineAndSink) {
     EXPECT_GT(counter_now("kernel.launches"), 0u) << "telemetry-on run recorded nothing";
     EXPECT_EQ(off, on) << "materialized output changed under telemetry";
 
-    if (engine.supports_sharded_output()) {
-      const std::string sharded_off = sharded_csv(portfolio, yet_table, engine, false);
-      const std::string sharded_on = sharded_csv(portfolio, yet_table, engine, true);
-      EXPECT_EQ(sharded_off, sharded_on) << "sharded output changed under telemetry";
-      EXPECT_EQ(off, sharded_off) << "sharded output diverged from materialized";
-    }
+    const std::string sharded_off = sharded_csv(portfolio, yet_table, engine, false);
+    const std::string sharded_on = sharded_csv(portfolio, yet_table, engine, true);
+    EXPECT_EQ(sharded_off, sharded_on) << "sharded output changed under telemetry";
+    EXPECT_EQ(off, sharded_off) << "sharded output diverged from materialized";
   }
-  EXPECT_GE(engines_checked, 7u);  // the kernel-backed builtins
+  EXPECT_EQ(engines_checked, 7u);  // every bit-identical preset
 }
 
 // --- Shard store counters -----------------------------------------------------

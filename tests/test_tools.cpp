@@ -75,9 +75,21 @@ TEST(Args, ScientificNotationDoubles) {
   EXPECT_DOUBLE_EQ(args.get_double("retention", 0.0), 2.5e6);
 }
 
-TEST(Args, LastValueWinsOnRepeat) {
-  const Args args = make_args({"--seed", "1", "--seed", "2"});
-  EXPECT_EQ(args.get_u64("seed", 0), 2u);
+TEST(Args, RepeatedSingleValuedOptionThrows) {
+  // A repeat must never silently keep one of the values.
+  const Args args = make_args({"--seed", "1", "--seed=2"});
+  EXPECT_TRUE(args.has("seed"));
+  EXPECT_THROW(args.get_u64("seed", 0), std::runtime_error);
+  EXPECT_THROW(args.get("seed", ""), std::runtime_error);
+  EXPECT_THROW(args.require("seed"), std::runtime_error);
+  EXPECT_THROW(args.get_double("seed", 0.0), std::runtime_error);
+}
+
+TEST(Args, GetAllReturnsEveryValueOfARepeatableOption) {
+  const Args args = make_args({"--elt", "a.elt", "--trials", "5", "--elt=b.elt"});
+  EXPECT_EQ(args.get_all("elt"), (std::vector<std::string>{"a.elt", "b.elt"}));
+  EXPECT_EQ(args.get_all("trials"), (std::vector<std::string>{"5"}));
+  EXPECT_TRUE(args.get_all("missing").empty());
 }
 
 }  // namespace

@@ -142,8 +142,7 @@ TEST(TrialKernel, LaneWidthsAndSchedulesShareTheBytes) {
   const auto yet_table = skewed_yet(300, 25.0);
   const auto reference = reference_ylt(portfolio, yet_table);
 
-  for (const core::SimdExtension extension :
-       {core::SimdExtension::kScalar, core::SimdExtension::kAuto}) {
+  for (const simd::Extension extension : {simd::Extension::kScalar, simd::best_extension()}) {
     for (const KernelLaunch::Schedule schedule :
          {KernelLaunch::Schedule::kSerial, KernelLaunch::Schedule::kPool,
           KernelLaunch::Schedule::kCosted, KernelLaunch::Schedule::kOpenMp}) {
@@ -153,7 +152,7 @@ TEST(TrialKernel, LaneWidthsAndSchedulesShareTheBytes) {
       KernelLaunch launch;
       launch.schedule = schedule;
       launch.num_threads = 3;
-      SCOPED_TRACE(std::string(to_string(extension)) + "_schedule" +
+      SCOPED_TRACE(std::string(core::to_string(extension)) + "_schedule" +
                    std::to_string(static_cast<int>(schedule)));
       expect_identical(reference, run_kernel(portfolio, yet_table, config, launch));
     }

@@ -14,9 +14,9 @@ using namespace are;
 using core::CoverageWindow;
 
 /// The windowed engine through the front door: kWindowed + config window.
-core::YearLossTable run_windowed_api(const core::Portfolio& portfolio,
-                                     const yet::YearEventTable& yet_table,
-                                     const CoverageWindow& window) {
+core::YearLossTable windowed_run(const core::Portfolio& portfolio,
+                                 const yet::YearEventTable& yet_table,
+                                 const CoverageWindow& window) {
   core::AnalysisConfig config;
   config.engine = core::EngineKind::kWindowed;
   config.window = window;
@@ -71,7 +71,7 @@ TEST(WindowedEngine, FullYearMatchesSequentialBitExact) {
   const auto portfolio = test_portfolio();
   const auto yet_table = test_yet();
   const auto reference = core::run_sequential(portfolio, yet_table);
-  const auto windowed = run_windowed_api(portfolio, yet_table, {0.0f, 1.0f});
+  const auto windowed = windowed_run(portfolio, yet_table, {0.0f, 1.0f});
   for (std::size_t trial = 0; trial < yet_table.num_trials(); ++trial) {
     ASSERT_EQ(windowed.at(0, trial), reference.at(0, trial)) << trial;
   }
@@ -81,7 +81,7 @@ TEST(WindowedEngine, WindowNeverIncreasesLoss) {
   const auto portfolio = test_portfolio();
   const auto yet_table = test_yet();
   const auto full = core::run_sequential(portfolio, yet_table);
-  const auto half = run_windowed_api(portfolio, yet_table, {0.0f, 0.5f});
+  const auto half = windowed_run(portfolio, yet_table, {0.0f, 0.5f});
   for (std::size_t trial = 0; trial < yet_table.num_trials(); ++trial) {
     ASSERT_LE(half.at(0, trial), full.at(0, trial) + 1e-9);
   }
@@ -104,8 +104,8 @@ TEST(WindowedEngine, ComplementaryWindowLossesSumWithoutAggregateTerms) {
   const auto yet_table = test_yet();
 
   const auto full = core::run_sequential(portfolio, yet_table);
-  const auto first = run_windowed_api(portfolio, yet_table, {0.0f, 0.5f});
-  const auto second = run_windowed_api(portfolio, yet_table, {0.5f, 1.0f});
+  const auto first = windowed_run(portfolio, yet_table, {0.0f, 0.5f});
+  const auto second = windowed_run(portfolio, yet_table, {0.5f, 1.0f});
   for (std::size_t trial = 0; trial < yet_table.num_trials(); ++trial) {
     EXPECT_NEAR(first.at(0, trial) + second.at(0, trial), full.at(0, trial),
                 1e-9 * (1.0 + full.at(0, trial)));
@@ -125,7 +125,7 @@ TEST(WindowedEngine, NarrowWindowCapturesFewOccurrences) {
 
 TEST(WindowedEngine, RejectsInvalidWindow) {
   const auto portfolio = test_portfolio();
-  EXPECT_THROW(run_windowed_api(portfolio, test_yet(10), {0.7f, 0.3f}),
+  EXPECT_THROW(windowed_run(portfolio, test_yet(10), {0.7f, 0.3f}),
                std::invalid_argument);
 }
 

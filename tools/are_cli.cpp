@@ -11,9 +11,9 @@
 //   are_cli price     --yet years.yet --elt a.elt ... [terms...]     (quote to stdout)
 //   are_cli info      --yet years.yet | --elt book.elt               (describe a file)
 //   are_cli simd-info [--runnable]   (runtime SIMD dispatch facts for this host)
-//   are_cli list-engines [--names] [--bit-identical]   (dump the engine registry)
-//   are_cli list-engines --sinks   (smoke-run every sink-capable engine under a
-//                                   forced-spill budget, byte-diffing vs seq)
+//   are_cli list-engines [--names] [--bit-identical]   (print the engine presets)
+//   are_cli list-engines --sinks   (smoke-run every engine under a forced-spill
+//                                   budget, byte-diffing vs seq)
 //   are_cli serve     --yet years.yet --elt a.elt ... [terms...] --socket are.sock
 //                     (resident analysis service on an AF_UNIX socket; loads the
 //                     inputs once, then answers QUOTE/UPDATE lines with admission
@@ -29,16 +29,16 @@
 // Engine:      --engine NAME (any name in `are_cli list-engines`)
 //              --threads N --chunk N (chunked engine's events per chunk)
 //              --partition static|dynamic|guided --partition-chunk N
-//              (parallel engine's trials per dynamic/guided work item;
+//              (pool/costed schedules: trials per dynamic/guided work item;
 //              for the fused engine, --partition picks the tile scheduler)
-//              --tile N (fused engine's trials per tile; 0 = footprint heuristic)
-//              --simd-ext auto|scalar|sse2|avx2|avx512|neon
-//              --window FROM:TO (windowed/fused engines; fractions of the year)
-//              --phases (Fig-6b phase breakdown; instrumented/fused engines)
+//              --tile N (trials per kernel block; 0 = footprint heuristic)
+//              --simd-ext auto|scalar|sse2|avx2|avx512|neon (simd/fused)
+//              --window FROM:TO (any engine; fractions of the year)
+//              --phases (Fig-6b phase breakdown; any engine)
 //              --lookup direct|sorted|robinhood|cuckoo
 // Output:      --output materialized|sharded — sharded stores the YLT in
 //              trial-range shards that spill to disk under a memory budget
-//              (out-of-core; engines with the 'sharded' capability), with
+//              (out-of-core; every engine), with
 //              --shard-trials N --spill-dir PATH --memory-budget-mb M
 // Telemetry:   --telemetry json|csv|prom|trace [--telemetry-out PATH]
 //              (runtime counters / Chrome-trace spans from src/obs/, exported
@@ -46,8 +46,8 @@
 //              --verbose (human summaries rendered from the telemetry registry)
 //
 // Engine selection goes through core::run(AnalysisRequest) and the
-// EngineRegistry, so a backend registered there is immediately reachable
-// here by name — this file has no per-engine dispatch ladder.
+// core::kEnginePresets table, so this file has no per-engine dispatch
+// ladder.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -65,8 +65,6 @@
 #include "args.hpp"
 #include "catmodel/cat_model.hpp"
 #include "core/analysis.hpp"
-#include "core/engine_registry.hpp"
-#include "core/openmp_engine.hpp"
 #include "fault/fault_injection.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics_server.hpp"
@@ -105,8 +103,8 @@ commands:
   simd-info          runtime SIMD dispatch facts: cpuid-detected, compiled-in,
                      and chosen extensions (--runnable: one runnable extension
                      per line, machine-readable — what CI override loops use)
-  list-engines       dump the engine registry            (--names --bit-identical)
-                     --sinks: smoke-run every sink-capable engine (forced spill,
+  list-engines       print the engine presets            (--names --bit-identical)
+                     --sinks: smoke-run every engine (forced spill,
                      sharded CSV byte-diffed against the sequential reference)
   serve              resident analysis service           (--yet F --elt F... --socket PATH)
                      --portfolio NAME (book id, default 'book') --threads N
@@ -190,7 +188,10 @@ elt::EventLossTable load_elt(const std::string& path) {
 /// Gathers every --elt argument (repeatable) plus positional .elt paths.
 std::vector<std::string> elt_paths(const Args& args) {
   std::vector<std::string> paths;
-  if (args.has("elt")) paths.push_back(args.require("elt"));
+  for (const std::string& path : args.get_all("elt")) {
+    if (path.empty()) throw std::runtime_error("missing required option --elt");
+    paths.push_back(path);
+  }
   for (const std::string& positional : args.positional()) {
     if (positional.size() > 4 && positional.substr(positional.size() - 4) == ".elt") {
       paths.push_back(positional);
@@ -246,27 +247,24 @@ parallel::Partition parse_partition(const Args& args) {
 }
 
 /// Builds the AnalysisConfig from the command line. Engine names resolve
-/// through the registry, so `--engine` accepts exactly what list-engines
-/// prints.
+/// through the preset table, so `--engine` accepts exactly what
+/// list-engines prints.
 core::AnalysisConfig parse_engine_config(const Args& args) {
   core::AnalysisConfig config;
-  // Sharded output needs a sink-capable engine, so its default is fused
-  // (the engine that writes tiles straight into shards); --engine still
-  // overrides either default.
+  // Sharded output defaults to fused (the engine that writes tiles
+  // straight into shards); --engine still overrides either default.
   const bool sharded = args.get("output", "materialized") == "sharded";
-  const auto& engine =
-      core::EngineRegistry::global().require(args.get("engine", sharded ? "fused" : "parallel"));
-  config.engine = engine.kind;
-  config.engine_name = engine.name;  // exact descriptor, even for custom-named engines
+  config.engine = core::engine_preset(args.get("engine", sharded ? "fused" : "parallel")).kind;
   config.num_threads = static_cast<std::size_t>(args.get_u64("threads", 0));
   config.partition = parse_partition(args);
   config.partition_chunk = static_cast<std::size_t>(args.get_u64("partition-chunk", 256));
   config.chunk_size = static_cast<std::size_t>(args.get_u64("chunk", 4));
   config.tile_trials = static_cast<std::size_t>(args.get_u64("tile", 0));  // 0 = heuristic
   const std::string ext = args.get("simd-ext", "auto");
-  const auto extension = core::simd_extension_from_string(ext);
-  if (!extension) throw std::runtime_error("unknown --simd-ext '" + ext + "'");
-  config.simd_extension = *extension;
+  if (ext != "auto") {
+    config.simd_extension = simd::extension_from_name(ext);
+    if (!config.simd_extension) throw std::runtime_error("unknown --simd-ext '" + ext + "'");
+  }
   if (args.has("window")) config.window = parse_window(args.require("window"));
   config.collect_phases = args.has("phases");
 
@@ -338,10 +336,10 @@ void export_telemetry(const TelemetryCli& telemetry) {
 }
 
 /// Post-run execution facts (stderr, so CSV/report stdout stays clean):
-/// the Fig-6b phase breakdown for the instrumented engine, the resolved
-/// lane type for simd, and whether openmp actually ran OpenMP or fell back.
+/// the Fig-6b phase breakdown of instrumented runs, the resolved lane type
+/// for simd/fused, and whether openmp actually ran OpenMP or fell back.
 void report_execution(const core::InstrumentationSink& sink) {
-  if (sink.openmp_used && !*sink.openmp_used) {
+  if (sink.engine_used == core::EngineKind::kOpenMp && !core::openmp_available()) {
     std::cerr << "note: OpenMP not compiled in; bit-identical thread-pool fallback ran\n";
   }
   if (sink.simd_extension_used) {
@@ -591,7 +589,7 @@ int cmd_price(const Args& args) {
   return 0;
 }
 
-/// `list-engines --sinks`: runs every sink-capable engine on a small
+/// `list-engines --sinks`: runs every engine preset on a small
 /// synthetic workload with a deliberately tiny memory budget (shards must
 /// spill and fault back) and byte-diffs its sharded CSV against the
 /// sequential reference — the in-process version of CI's sharded smoke
@@ -625,11 +623,10 @@ int smoke_sink_engines() {
                                                       .num_threads = 1}}));
 
   bool all_passed = true;
-  for (const auto& engine : core::EngineRegistry::global().descriptors()) {
-    if (!engine.supports_sharded_output() || !engine.available_in_this_build) continue;
+  for (const core::EnginePreset& engine : core::kEnginePresets) {
+    const std::string name(engine.name);
     core::AnalysisConfig config;
     config.engine = engine.kind;
-    config.engine_name = engine.name;
     config.num_threads = 2;
     config.output = core::OutputMode::kSharded;
     config.sharding.shard_trials = 64;
@@ -643,18 +640,18 @@ int smoke_sink_engines() {
     const bool spilled = stats.spills > 0;
     // windowed runs full-year here (no window given), so even its CSV must
     // match seq byte-for-byte.
-    std::printf("%-13s %s  (%llu spills, %llu faults)\n", engine.name.c_str(),
+    std::printf("%-13s %s  (%llu spills, %llu faults)\n", name.c_str(),
                 identical && spilled ? "PASS" : "FAIL",
                 static_cast<unsigned long long>(stats.spills),
                 static_cast<unsigned long long>(stats.faults));
     if (!identical) {
       std::fprintf(stderr, "are_cli list-engines --sinks: engine '%s' sharded CSV differs "
-                           "from the sequential reference\n", engine.name.c_str());
+                           "from the sequential reference\n", name.c_str());
       all_passed = false;
     }
     if (!spilled) {
       std::fprintf(stderr, "are_cli list-engines --sinks: engine '%s' never spilled — the "
-                           "smoke budget is vacuous\n", engine.name.c_str());
+                           "smoke budget is vacuous\n", name.c_str());
       all_passed = false;
     }
   }
@@ -662,36 +659,56 @@ int smoke_sink_engines() {
 }
 
 int cmd_list_engines(const Args& args) {
-  const auto& registry = core::EngineRegistry::global();
-  const bool names_only = args.has("names");
   const bool only_bit_identical = args.has("bit-identical");
   if (args.has("sinks")) return smoke_sink_engines();
 
-  if (names_only) {
-    // Machine-readable: one canonical name per line, restricted to engines
-    // this build can actually run (what CI smoke-loops over).
-    for (const auto& engine : registry.descriptors()) {
-      if (!engine.available_in_this_build) continue;
+  if (args.has("names")) {
+    // Machine-readable: one canonical name per line (what CI smoke-loops
+    // over).
+    for (const core::EnginePreset& engine : core::kEnginePresets) {
       if (only_bit_identical && !engine.bit_identical_to_sequential) continue;
       std::cout << engine.name << "\n";
     }
     return 0;
   }
 
-  std::printf("%-13s %-9s %-13s %-7s %-6s %-5s %-8s %s\n", "engine", "available",
-              "bit-identical", "window", "instr", "pool", "sharded", "summary");
-  for (const auto& engine : registry.descriptors()) {
+  // The runtime-dispatch facts for this (binary, host) pair: which kernel
+  // TUs the build linked, what this host's cpuid reports, and which of them
+  // auto therefore executes — the note CI greps to prove a baseline
+  // (-DARE_MARCH_NATIVE=OFF) binary still runs the wide kernels.
+  const std::string lanes_note =
+      "compiled: " + simd::describe_mask(simd::compiled_extensions()) +
+      "; cpuid: " + simd::describe_mask(simd::detected_extensions()) + "; auto runs " +
+      std::string(simd::name_of(simd::best_extension())) + " (" +
+      simd::best_extension_reason() + ")";
+  const std::string openmp_note = core::openmp_available()
+                                      ? "OpenMP compiled in; directives run"
+                                      : "OpenMP not compiled in; bit-identical thread-pool "
+                                        "fallback runs";
+  const auto schedule_name = [](core::KernelLaunch::Schedule schedule) {
+    switch (schedule) {
+      case core::KernelLaunch::Schedule::kSerial: return "serial";
+      case core::KernelLaunch::Schedule::kPool: return "pool";
+      case core::KernelLaunch::Schedule::kCosted: return "costed";
+      case core::KernelLaunch::Schedule::kOpenMp: return "openmp";
+    }
+    return "?";
+  };
+  std::printf("%-13s %-9s %-6s %-13s %s\n", "engine", "schedule", "lanes", "bit-identical",
+              "summary");
+  for (const core::EnginePreset& engine : core::kEnginePresets) {
     if (only_bit_identical && !engine.bit_identical_to_sequential) continue;
-    const auto yn = [](bool value) { return value ? "yes" : "no"; };
-    std::printf("%-13s %-9s %-13s %-7s %-6s %-5s %-8s %s\n", engine.name.c_str(),
-                yn(engine.available_in_this_build), yn(engine.bit_identical_to_sequential),
-                yn(engine.supports_windowing), yn(engine.supports_instrumentation),
-                yn(engine.supports_pool_reuse), yn(engine.supports_sharded_output()),
-                engine.summary.c_str());
-    if (!engine.availability_note.empty()) {
-      std::printf("%-13s   %s\n", "", engine.availability_note.c_str());
+    std::printf("%-13s %-9s %-6s %-13s %s\n", std::string(engine.name).c_str(),
+                schedule_name(engine.schedule), engine.lanes ? "simd" : "scalar",
+                engine.bit_identical_to_sequential ? "yes" : "no",
+                std::string(engine.summary).c_str());
+    if (engine.lanes) std::printf("%-13s   %s\n", "", lanes_note.c_str());
+    if (engine.schedule == core::KernelLaunch::Schedule::kOpenMp) {
+      std::printf("%-13s   %s\n", "", openmp_note.c_str());
     }
   }
+  std::printf("every engine applies --window, --phases, --tile, and --output sharded; "
+              "pool and costed schedules accept a borrowed thread pool (serve reuses one)\n");
   return 0;
 }
 
@@ -716,7 +733,7 @@ int cmd_serve(const Args& args) {
       static_cast<std::size_t>(args.get_u64("admission-memory-budget-mb", 0)) << 20;
   config.cache_entries = static_cast<std::size_t>(args.get_u64("cache-entries", 64));
   config.default_engine = args.get("engine", "fused");
-  core::EngineRegistry::global().require(config.default_engine);  // fail fast on typos
+  core::engine_preset(config.default_engine);  // fail fast on typos
   // Out-of-core execution for sharded=1 quotes (same flag names as `run`).
   config.sharding.shard_trials = args.get_u64("shard-trials", 4096);
   config.sharding.memory_budget_bytes =

@@ -1,5 +1,6 @@
 #include "io/binary.hpp"
 
+#include <bit>
 #include <cstring>
 #include <istream>
 #include <optional>
@@ -29,7 +30,8 @@ namespace {
 constexpr std::uint32_t kEltMagic = 0x454C5431;    // "ELT1"
 constexpr std::uint32_t kYetMagic = 0x59455431;    // "YET1"
 constexpr std::uint32_t kShardMagic = 0x53485244;  // "SHRD"
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersionFnv = 1;  // per-vector fnv1a, XOR-ed
+constexpr std::uint32_t kVersion = 2;     // chained checksum64; what writers emit
 
 template <typename T>
 void write_pod(std::ostream& out, const T& value) {
@@ -50,7 +52,7 @@ void write_vector(std::ostream& out, const std::vector<T>& values, std::uint64_t
   write_pod(out, count);
   out.write(reinterpret_cast<const char*>(values.data()),
             static_cast<std::streamsize>(values.size() * sizeof(T)));
-  hash ^= fnv1a(values.data(), values.size() * sizeof(T));
+  hash = checksum64(values.data(), values.size() * sizeof(T), hash);
 }
 
 /// Bytes between the read position and the end of the stream, or
@@ -67,7 +69,7 @@ std::optional<std::uint64_t> bytes_left(std::istream& in) {
 }
 
 template <typename T>
-std::vector<T> read_vector(std::istream& in, std::uint64_t& hash) {
+std::vector<T> read_vector(std::istream& in, std::uint32_t version, std::uint64_t& hash) {
   const auto count = read_pod<std::uint64_t>(in);
   // Refuse a corrupt count field before allocating: it may not claim more
   // bytes than the stream still holds (or, on a stream that cannot seek,
@@ -81,15 +83,21 @@ std::vector<T> read_vector(std::istream& in, std::uint64_t& hash) {
   in.read(reinterpret_cast<char*>(values.data()),
           static_cast<std::streamsize>(values.size() * sizeof(T)));
   if (!in) throw_corrupt("truncated binary stream");
-  hash ^= fnv1a(values.data(), values.size() * sizeof(T));
+  const std::size_t bytes = values.size() * sizeof(T);
+  hash = version == kVersionFnv ? hash ^ fnv1a(values.data(), bytes)
+                                : checksum64(values.data(), bytes, hash);
   return values;
 }
 
-void check_header(std::istream& in, std::uint32_t magic) {
+/// Checks the magic and returns the format version, which must lie in
+/// [oldest, kVersion].
+std::uint32_t check_header(std::istream& in, std::uint32_t magic, std::uint32_t oldest) {
   if (read_pod<std::uint32_t>(in) != magic) throw_corrupt("bad magic in binary stream");
-  if (read_pod<std::uint32_t>(in) != kVersion) {
-    throw_corrupt("unsupported binary format version");
+  const auto version = read_pod<std::uint32_t>(in);
+  if (version < oldest || version > kVersion) {
+    throw_corrupt("unsupported binary format version " + std::to_string(version));
   }
+  return version;
 }
 
 void check_footer(std::istream& in, std::uint64_t hash) {
@@ -99,6 +107,64 @@ void check_footer(std::istream& in, std::uint64_t hash) {
 }
 
 }  // namespace
+
+std::uint64_t checksum64(const void* data, std::size_t size, std::uint64_t seed) noexcept {
+  // XXH64. Words are read little-endian through memcpy, like every other
+  // field of these formats.
+  constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ULL;
+  constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4FULL;
+  constexpr std::uint64_t kP3 = 0x165667B19E3779F9ULL;
+  constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ULL;
+  constexpr std::uint64_t kP5 = 0x27D4EB2F165667C5ULL;
+  const auto round = [](std::uint64_t acc, std::uint64_t word) {
+    return std::rotl(acc + word * kP2, 31) * kP1;
+  };
+  const auto word64 = [](const unsigned char* at) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, at, sizeof word);
+    return word;
+  };
+
+  const auto* at = static_cast<const unsigned char*>(data);
+  const unsigned char* const end = at + size;
+  std::uint64_t hash = seed + kP5;
+  if (size >= 32) {
+    // Four lanes, each a serial chain over every fourth word: the chains
+    // are independent, so their multiplies overlap in the pipeline.
+    std::uint64_t lane0 = seed + kP1 + kP2;
+    std::uint64_t lane1 = seed + kP2;
+    std::uint64_t lane2 = seed;
+    std::uint64_t lane3 = seed - kP1;
+    for (; end - at >= 32; at += 32) {
+      lane0 = round(lane0, word64(at));
+      lane1 = round(lane1, word64(at + 8));
+      lane2 = round(lane2, word64(at + 16));
+      lane3 = round(lane3, word64(at + 24));
+    }
+    hash = std::rotl(lane0, 1) + std::rotl(lane1, 7) + std::rotl(lane2, 12) + std::rotl(lane3, 18);
+    for (const std::uint64_t lane : {lane0, lane1, lane2, lane3}) {
+      hash = (hash ^ round(0, lane)) * kP1 + kP4;
+    }
+  }
+  hash += size;
+
+  // The tail: whole words, then one 4-byte word, then single bytes.
+  for (; end - at >= 8; at += 8) hash = std::rotl(hash ^ round(0, word64(at)), 27) * kP1 + kP4;
+  if (end - at >= 4) {
+    std::uint32_t word = 0;
+    std::memcpy(&word, at, sizeof word);
+    hash = std::rotl(hash ^ (word * kP1), 23) * kP2 + kP3;
+    at += 4;
+  }
+  for (; at < end; ++at) hash = std::rotl(hash ^ (*at * kP5), 11) * kP1;
+
+  hash ^= hash >> 33;
+  hash *= kP2;
+  hash ^= hash >> 29;
+  hash *= kP3;
+  hash ^= hash >> 32;
+  return hash;
+}
 
 std::uint64_t fnv1a(const void* data, std::size_t size) noexcept {
   const auto* bytes = static_cast<const unsigned char*>(data);
@@ -128,10 +194,10 @@ void write_elt_binary(std::ostream& out, const elt::EventLossTable& table) {
 }
 
 elt::EventLossTable read_elt_binary(std::istream& in) {
-  check_header(in, kEltMagic);
+  const std::uint32_t version = check_header(in, kEltMagic, kVersionFnv);
   std::uint64_t hash = 0;
-  const auto events = read_vector<elt::EventId>(in, hash);
-  const auto losses = read_vector<double>(in, hash);
+  const auto events = read_vector<elt::EventId>(in, version, hash);
+  const auto losses = read_vector<double>(in, version, hash);
   check_footer(in, hash);
   if (events.size() != losses.size()) {
     throw_corrupt("ELT binary stream: event/loss length mismatch");
@@ -165,7 +231,7 @@ void write_shard_binary(std::ostream& out, std::span<const double> values) {
   write_pod(out, count);
   out.write(reinterpret_cast<const char*>(values.data()),
             static_cast<std::streamsize>(values.size() * sizeof(double)));
-  write_pod(out, fnv1a(values.data(), values.size() * sizeof(double)));
+  write_pod(out, checksum64(values.data(), values.size() * sizeof(double)));
 }
 
 void read_shard_binary(std::istream& in, std::span<double> values) {
@@ -173,7 +239,7 @@ void read_shard_binary(std::istream& in, std::span<double> values) {
     throw core::StatusError(core::StatusCode::kIoError,
                             "injected fault: io.read (shard binary read)");
   }
-  check_header(in, kShardMagic);
+  check_header(in, kShardMagic, kVersion);
   const auto count = read_pod<std::uint64_t>(in);
   if (count != values.size()) {
     throw_corrupt("shard binary stream: size mismatch (file has " + std::to_string(count) +
@@ -187,15 +253,15 @@ void read_shard_binary(std::istream& in, std::span<double> values) {
     // corruption-detection path exactly as a bad disk would.
     values[0] = values[0] == 0.0 ? 1.0 : -values[0];
   }
-  check_footer(in, fnv1a(values.data(), values.size() * sizeof(double)));
+  check_footer(in, checksum64(values.data(), values.size() * sizeof(double)));
 }
 
 yet::YearEventTable read_yet_binary(std::istream& in) {
-  check_header(in, kYetMagic);
+  const std::uint32_t version = check_header(in, kYetMagic, kVersionFnv);
   std::uint64_t hash = 0;
-  auto events = read_vector<yet::EventId>(in, hash);
-  auto times = read_vector<float>(in, hash);
-  auto offsets = read_vector<std::uint64_t>(in, hash);
+  auto events = read_vector<yet::EventId>(in, version, hash);
+  auto times = read_vector<float>(in, version, hash);
+  auto offsets = read_vector<std::uint64_t>(in, version, hash);
   check_footer(in, hash);
   return yet::YearEventTable(std::move(events), std::move(times), std::move(offsets));
 }

@@ -62,7 +62,7 @@ void write_ylt_csv(std::ostream& out, shard::ShardedYearLossTable& ylt) {
   out << "trial";
   for (std::uint32_t id : ylt.layer_ids()) out << ",layer_" << id;
   out << '\n';
-  ylt.for_each_shard([&](shard::ShardedYearLossTable::ShardView& view) {
+  ylt.for_each_shard([&](const shard::ShardedYearLossTable::ShardView& view) {
     for (std::size_t i = 0; i < view.trials(); ++i) {
       out << view.trial_begin() + i;
       for (std::size_t layer = 0; layer < ylt.num_layers(); ++layer) {

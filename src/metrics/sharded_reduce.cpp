@@ -25,7 +25,7 @@ EpCurve ep_curve_sharded(shard::ShardedYearLossTable& table, std::size_t layer_i
   // spill — before the next is faulted in).
   std::vector<std::vector<double>> runs;
   runs.reserve(table.num_shards());
-  table.for_each_shard([&](shard::ShardedYearLossTable::ShardView& view) {
+  table.for_each_shard([&](const shard::ShardedYearLossTable::ShardView& view) {
     const auto row = view.layer_losses(layer_index);
     runs.emplace_back(row.begin(), row.end());
     std::sort(runs.back().begin(), runs.back().end());
@@ -60,7 +60,7 @@ RunningStats stats_sharded(shard::ShardedYearLossTable& table, std::size_t layer
   // Welford is visit-order dependent; shards in trial order reproduce the
   // materialized row's scan order exactly.
   RunningStats stats;
-  table.for_each_shard([&](shard::ShardedYearLossTable::ShardView& view) {
+  table.for_each_shard([&](const shard::ShardedYearLossTable::ShardView& view) {
     for (const double loss : view.layer_losses(layer_index)) stats.add(loss);
   });
   return stats;
@@ -68,7 +68,7 @@ RunningStats stats_sharded(shard::ShardedYearLossTable& table, std::size_t layer
 
 std::vector<double> portfolio_losses_sharded(shard::ShardedYearLossTable& table) {
   std::vector<double> total(static_cast<std::size_t>(table.num_trials()), 0.0);
-  table.for_each_shard([&](shard::ShardedYearLossTable::ShardView& view) {
+  table.for_each_shard([&](const shard::ShardedYearLossTable::ShardView& view) {
     for (std::size_t layer = 0; layer < table.num_layers(); ++layer) {
       const auto row = view.layer_losses(layer);
       double* out = total.data() + view.trial_begin();

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <list>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -381,11 +382,31 @@ std::string Server::handle_line(const std::string& line) {
 
 int Server::serve() {
   const int listen_fd = make_listen_socket(options_.socket_path);
-  std::vector<std::thread> connections;
+  // One handler thread per connection. A handler flags itself done as its
+  // last act; the accept loop joins and drops done handlers on every
+  // iteration (at least every poll timeout), so finished connections do
+  // not accumulate threads over a long-lived serve.
+  struct Handler {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Handler> handlers;
+  const auto reap_done_handlers = [&] {
+    for (auto it = handlers.begin(); it != handlers.end();) {
+      if (!it->done) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = handlers.erase(it);
+    }
+    live_handlers_ = handlers.size();
+  };
   // Open connection fds, so shutdown can unblock threads parked in read().
   std::mutex conns_mutex;
   std::vector<int> open_conns;
   while (!stop_requested()) {
+    reap_done_handlers();
     pollfd pfd{listen_fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, 200);
     if (ready < 0 && errno != EINTR) break;
@@ -403,7 +424,9 @@ int Server::serve() {
       std::lock_guard<std::mutex> guard(conns_mutex);
       open_conns.push_back(conn);
     }
-    connections.emplace_back([this, conn, &conns_mutex, &open_conns] {
+    Handler& handler = handlers.emplace_back();
+    live_handlers_ = handlers.size();
+    handler.thread = std::thread([this, conn, &conns_mutex, &open_conns, &done = handler.done] {
       std::string pending;
       char buf[4096];
       for (;;) {
@@ -432,6 +455,7 @@ int Server::serve() {
         open_conns.erase(std::find(open_conns.begin(), open_conns.end(), conn));
       }
       ::close(conn);
+      done = true;
     });
   }
   // Shutdown drain. Order matters: wake broker queue waiters (their
@@ -445,7 +469,9 @@ int Server::serve() {
     std::lock_guard<std::mutex> guard(conns_mutex);
     for (const int conn : open_conns) ::shutdown(conn, SHUT_RD);
   }
-  for (std::thread& connection : connections) connection.join();
+  for (Handler& handler : handlers) handler.thread.join();
+  handlers.clear();
+  live_handlers_ = 0;
   ::close(listen_fd);
   ::unlink(options_.socket_path.c_str());
   if (options_.verbose) {

@@ -71,6 +71,10 @@ class Server {
   void request_stop() noexcept { stop_.store(true, std::memory_order_relaxed); }
   bool stop_requested() const noexcept { return stop_.load(std::memory_order_relaxed); }
 
+  /// Connection handler threads serve() holds right now: running ones plus
+  /// finished ones the accept loop has not joined yet.
+  std::size_t live_handlers() const noexcept { return live_handlers_; }
+
   /// Minimal client: connect, send one line, read one response line.
   /// Throws std::runtime_error on connection or I/O failure.
   static std::string round_trip(const std::string& socket_path, const std::string& line);
@@ -82,6 +86,7 @@ class Server {
   AnalysisService& service_;
   ServerOptions options_;
   std::atomic<bool> stop_{false};
+  std::atomic<std::size_t> live_handlers_{0};
 };
 
 }  // namespace are::service

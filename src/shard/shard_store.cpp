@@ -1,8 +1,10 @@
 #include "shard/shard_store.hpp"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <fstream>
@@ -111,7 +113,11 @@ ShardStore::ShardStore(std::vector<std::size_t> shard_doubles, ShardStoreConfig 
   shards_.resize(shard_doubles.size());
   for (std::size_t i = 0; i < shard_doubles.size(); ++i) {
     shards_[i].size_doubles = shard_doubles[i];
+    buffer_doubles_ = std::max(buffer_doubles_, shard_doubles[i]);
   }
+  // At most one buffer per shard exists, so returning one to the list
+  // never reallocates (and never throws) inside the eviction loop.
+  free_buffers_.reserve(shards_.size());
   // The spill directory is resolved lazily in ensure_spill_dir(): a store
   // that never spills must not touch the filesystem at all. A *configured*
   // base dir is the exception: it is where a crashed predecessor's *.tmp
@@ -163,7 +169,7 @@ void ShardStore::Pin::release() noexcept {
   store_ = nullptr;
 }
 
-ShardStore::Pin ShardStore::pin(std::size_t shard_index) {
+ShardStore::Pin ShardStore::pin(std::size_t shard_index, Access access) {
   std::unique_lock<std::mutex> lock(lock_);
   // Wait out any in-flight spill or fault of THIS shard by another thread;
   // I/O on other shards proceeds concurrently (that is the point).
@@ -180,6 +186,7 @@ ShardStore::Pin ShardStore::pin(std::size_t shard_index) {
   // no Pin is ever handed out, so the count must be rolled back here.
   ++shard.pins;
   shard.last_use = ++clock_;
+  if (access == Access::kWrite) shard.dirty = true;
   try {
     evict_over_budget(lock, shard_index);
   } catch (...) {
@@ -202,14 +209,12 @@ void ShardStore::discard(std::size_t shard_index) {
     throw std::logic_error("shard store: discard of pinned shard " + std::to_string(shard_index));
   }
   if (shard.state == State::kResident) {
-    stats_.resident_bytes -= bytes_of(shard.size_doubles);
-    if (obs::enabled()) {
-      StoreCounters::get().resident_bytes.add(
-          -static_cast<std::int64_t>(bytes_of(shard.size_doubles)));
-    }
+    uncharge_resident(shard.size_doubles);
   }
   shard.buffer.reset();
   shard.state = State::kZero;
+  shard.dirty = false;
+  shard.has_file = false;
   shard.quarantined = false;
   const std::filesystem::path path = shard_path(shard_index);
   if (!path.empty()) {
@@ -223,23 +228,34 @@ void ShardStore::fault_in(std::unique_lock<std::mutex>& lock, std::size_t shard_
   Shard& shard = shards_[shard_index];
   if (shard.state == State::kResident) return;
 
-  // The disk read (and the large allocation / zero fill) happens with the
+  // The disk read (and any large allocation / zero fill) happens with the
   // store mutex released: the shard is marked in-transition, so concurrent
   // pins of this shard wait on io_done_ while pins of other shards proceed.
   const State prior = shard.state;
   shard.io_in_progress = true;
   const std::filesystem::path path = shard_path(shard_index);
   const std::size_t doubles = shard.size_doubles;
+  Buffer buffer;
+  if (!free_buffers_.empty()) {
+    buffer = std::move(free_buffers_.back());
+    free_buffers_.pop_back();
+  }
   lock.unlock();
 
   // Anything thrown in the unlocked window (bad_alloc under the very
   // memory pressure this store targets, a checksum failure from the read)
   // must still clear io_in_progress under the lock, or every later pin()
   // of this shard would park on io_done_ forever.
-  std::unique_ptr<double[]> buffer;
   std::exception_ptr failure;
   bool corrupt = false;
   try {
+    if (!buffer) {
+      const std::size_t bytes = std::max<std::size_t>(bytes_of(buffer_doubles_), 1);
+      void* pages =
+          ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (pages == MAP_FAILED) throw std::bad_alloc();
+      buffer = Buffer(static_cast<double*>(pages), detail::Unmap{bytes});
+    }
     if (prior == State::kSpilled) {
       obs::Span span("shard.fault", "shard");
       if (fault::should_inject(fault::sites::kShardFaultRead)) {
@@ -247,8 +263,6 @@ void ShardStore::fault_in(std::unique_lock<std::mutex>& lock, std::size_t shard_
                                 "injected fault: shard.fault_read (shard " +
                                     std::to_string(shard_index) + ")");
       }
-      // The read fills every byte, so the buffer is allocated uninitialised.
-      buffer = std::make_unique_for_overwrite<double[]>(doubles);
       std::ifstream in(path, std::ios::binary);
       if (!in) {
         throw core::StatusError(core::StatusCode::kIoError,
@@ -257,7 +271,7 @@ void ShardStore::fault_in(std::unique_lock<std::mutex>& lock, std::size_t shard_
       }
       io::read_shard_binary(in, {buffer.get(), doubles});
     } else {
-      buffer = std::make_unique<double[]>(doubles);  // first touch: zeros
+      std::fill_n(buffer.get(), doubles, 0.0);  // first touch: zeros
     }
   } catch (const core::StatusError& error) {
     corrupt = error.code() == core::StatusCode::kDataCorruption;
@@ -286,6 +300,7 @@ void ShardStore::fault_in(std::unique_lock<std::mutex>& lock, std::size_t shard_
   shard.buffer = std::move(buffer);
   if (prior == State::kSpilled) ++stats_.faults;
   shard.state = State::kResident;
+  shard.dirty = false;
   stats_.resident_bytes += bytes_of(doubles);
   if (stats_.resident_bytes > stats_.peak_resident_bytes) {
     stats_.peak_resident_bytes = stats_.resident_bytes;
@@ -317,22 +332,28 @@ void ShardStore::evict_over_budget(std::unique_lock<std::mutex>& lock,
     }
     if (victim == shards_.size()) return;  // everything evictable is pinned
 
+    Shard& shard = shards_[victim];
+    const std::size_t doubles = shard.size_doubles;
+    if (!shard.dirty) {
+      // Clean: the spill file (or, without one, all zeros) already holds
+      // these bytes, so the buffer is dropped without any I/O.
+      free_buffers_.push_back(std::move(shard.buffer));
+      shard.state = shard.has_file ? State::kSpilled : State::kZero;
+      uncharge_resident(doubles);
+      continue;
+    }
+
     // Detach the victim's buffer and write it out with the mutex released.
     // The bytes leave residency the moment the buffer detaches, so other
     // threads observe budget progress immediately; marking the victim
     // in-transition keeps pins of it parked on io_done_ until the write
     // lands (its state only becomes kSpilled then).
     ensure_spill_dir();
-    Shard& shard = shards_[victim];
     shard.io_in_progress = true;
     shard.state = State::kSpilled;
     const std::filesystem::path path = shard_path(victim);
-    std::unique_ptr<double[]> buffer = std::move(shard.buffer);
-    const std::size_t doubles = shard.size_doubles;
-    stats_.resident_bytes -= bytes_of(doubles);
-    if (obs::enabled()) {
-      StoreCounters::get().resident_bytes.add(-static_cast<std::int64_t>(bytes_of(doubles)));
-    }
+    Buffer buffer = std::move(shard.buffer);
+    uncharge_resident(doubles);
     lock.unlock();
 
     // As in fault_in: whatever the unlocked write throws, io_in_progress
@@ -358,6 +379,9 @@ void ShardStore::evict_over_budget(std::unique_lock<std::mutex>& lock,
       }
       std::rethrow_exception(failure);
     }
+    free_buffers_.push_back(std::move(buffer));
+    shard.dirty = false;
+    shard.has_file = true;
     ++stats_.spills;
     if (obs::enabled()) {
       StoreCounters& counters = StoreCounters::get();
@@ -366,6 +390,15 @@ void ShardStore::evict_over_budget(std::unique_lock<std::mutex>& lock,
     }
   }
 }
+
+void ShardStore::uncharge_resident(std::size_t doubles) {
+  stats_.resident_bytes -= bytes_of(doubles);
+  if (obs::enabled()) {
+    StoreCounters::get().resident_bytes.add(-static_cast<std::int64_t>(bytes_of(doubles)));
+  }
+}
+
+void detail::Unmap::operator()(double* data) const noexcept { ::munmap(data, bytes); }
 
 std::filesystem::path ShardStore::shard_path(std::size_t shard_index) const {
   if (spill_dir_.empty()) return {};  // no spill has resolved the dir yet

@@ -12,6 +12,16 @@
 
 namespace are::shard {
 
+namespace detail {
+/// Shard storage is mapped pages (mmap/munmap), not malloc: shard buffers
+/// never enter the allocator's per-thread arenas, which the evict/fault
+/// churn would otherwise fragment into a growing RSS.
+struct Unmap {
+  std::size_t bytes = 0;
+  void operator()(double* data) const noexcept;
+};
+}  // namespace detail
+
 /// Placement policy for shard buffers.
 struct ShardStoreConfig {
   /// Resident-buffer budget in bytes; 0 = unlimited (nothing ever spills).
@@ -31,7 +41,7 @@ struct ShardStoreConfig {
 
 /// Observability counters, stable across pin/release cycles.
 struct ShardStoreStats {
-  std::uint64_t spills = 0;       ///< shard buffers written out to disk
+  std::uint64_t spills = 0;       ///< shard buffers written out to disk (clean drops excluded)
   std::uint64_t faults = 0;       ///< shard buffers restored from disk
   std::uint64_t quarantined = 0;  ///< spill files set aside after checksum failure
   std::size_t resident_bytes = 0;
@@ -40,13 +50,22 @@ struct ShardStoreStats {
 
 /// Bounded-memory home for a fixed set of equal-role buffers ("shards").
 /// Shards start life virtually zero-filled (allocating nothing until first
-/// pinned), stay resident while the budget allows, and spill least-recently
-/// -used to disk when it does not; pinning a spilled shard transparently
-/// faults it back. All metadata operations are thread-safe; the data bytes
-/// behind a pin are the caller's to synchronise (the sharded YLT writes
-/// disjoint ranges from concurrent workers, which needs no locking).
+/// pinned), stay resident while the budget allows, and leave residency
+/// least-recently-used when it does not; pinning a non-resident shard
+/// transparently faults it back. Only a dirty shard — one pinned for
+/// writing since it was last faulted in or written out — is written to
+/// disk on eviction. A clean one still equals its spill file (or is still
+/// all zeros), so evicting it just frees the buffer. All metadata
+/// operations are thread-safe; the data bytes behind a pin are the
+/// caller's to synchronise (the sharded YLT writes disjoint ranges from
+/// concurrent workers, which needs no locking).
 class ShardStore {
  public:
+  /// What a pin may do with the bytes. A kWrite pin marks the shard dirty
+  /// when it is taken; a kRead pin leaves it clean, and its holder must
+  /// not write through data().
+  enum class Access : std::uint8_t { kRead, kWrite };
+
   /// `shard_doubles[i]` is shard i's element count (the last trial-range
   /// shard of a YLT is usually ragged).
   ShardStore(std::vector<std::size_t> shard_doubles, ShardStoreConfig config);
@@ -87,12 +106,12 @@ class ShardStore {
   };
 
   /// Faults the shard in (allocating zeros on first touch, reading the
-  /// spill file after an eviction) and pins it. May evict other, unpinned
-  /// shards to get back under budget. Disk transfers (spill writes, fault
-  /// reads) happen with the store mutex *released* — the shard in
-  /// transition is marked and other threads pin other shards concurrently,
-  /// so worker emits no longer serialise on a neighbour's I/O under memory
-  /// pressure.
+  /// spill file after an eviction) and pins it for `access`. May evict
+  /// other, unpinned shards to get back under budget. Disk transfers
+  /// (spill writes, fault reads) happen with the store mutex *released* —
+  /// the shard in transition is marked and other threads pin other shards
+  /// concurrently, so worker emits no longer serialise on a neighbour's
+  /// I/O under memory pressure.
   ///
   /// Failure taxonomy (all derive from std::runtime_error):
   ///   core::StatusError(kSpillFailure)    an eviction's spill write failed
@@ -103,7 +122,7 @@ class ShardStore {
   ///                                       (renamed *.quarantined) and every
   ///                                       later pin() throws the same code
   ///                                       until discard() resets the shard
-  Pin pin(std::size_t shard_index);
+  Pin pin(std::size_t shard_index, Access access = Access::kWrite);
 
   /// Drops a shard back to the virtually-zero state: buffer freed, spill
   /// and quarantine files removed, quarantine flag cleared. The recompute
@@ -124,20 +143,28 @@ class ShardStore {
 
  private:
   enum class State : std::uint8_t {
-    kZero,      ///< never materialised: logically all zeros, no buffer, no file
+    kZero,      ///< logically all zeros, no buffer, no file
     kResident,  ///< buffer in memory (a spill file from an earlier eviction may exist)
     kSpilled,   ///< buffer on disk only
   };
 
+  using Buffer = std::unique_ptr<double[], detail::Unmap>;
+
   struct Shard {
     std::size_t size_doubles = 0;
     State state = State::kZero;
-    // Raw array, not vector: a fault from disk fills every byte from the
-    // spill file, so the buffer is allocated uninitialised (only a
-    // first-touch kZero fault pays the zero fill).
-    std::unique_ptr<double[]> buffer;
+    // Raw pages, not a vector: a fault from disk fills every byte from
+    // the spill file, so the buffer is not initialised (only a first-touch
+    // kZero fault pays the zero fill).
+    Buffer buffer;
     std::uint32_t pins = 0;
     std::uint64_t last_use = 0;  // LRU clock value at last pin
+    /// The resident buffer may differ from what eviction would restore
+    /// (the spill file, or zeros without one): set by a kWrite pin,
+    /// cleared by a fault-in or a completed spill.
+    bool dirty = false;
+    /// A spill file holds this shard's last written-out bytes.
+    bool has_file = false;
     /// Spill write / fault read in flight with the store mutex released.
     /// While set the shard is untouchable: pin() waits on io_done_, and
     /// eviction never selects it (it is not kResident during the window).
@@ -152,6 +179,8 @@ class ShardStore {
   void fault_in(std::unique_lock<std::mutex>& lock, std::size_t shard_index);
   void evict_over_budget(std::unique_lock<std::mutex>& lock, std::size_t protect_index);
   // Require lock_ held throughout.
+  /// Takes a shard's bytes off the resident total as it leaves residency.
+  void uncharge_resident(std::size_t doubles);
   std::filesystem::path shard_path(std::size_t shard_index) const;
   void ensure_spill_dir();
   /// Removes shard_*.bin.tmp debris a crashed predecessor left under
@@ -163,6 +192,13 @@ class ShardStore {
   mutable std::mutex lock_;
   std::condition_variable io_done_;
   std::vector<Shard> shards_;
+  /// Every buffer holds the largest shard, so buffers are interchangeable:
+  /// one leaving residency joins free_buffers_, and a fault-in maps a new
+  /// one only when that list is empty. A steady evict/fault cycle thus
+  /// maps no new memory, and the store never holds more buffers than its
+  /// peak count of resident shards.
+  std::size_t buffer_doubles_ = 0;
+  std::vector<Buffer> free_buffers_;
   ShardStoreConfig config_;
   std::filesystem::path spill_dir_;
   bool owns_spill_dir_ = false;   // we created it -> destructor removes it

@@ -29,10 +29,11 @@ ShardedYearLossTable::ShardedYearLossTable(std::vector<std::uint32_t> layer_ids,
       store_(std::make_unique<ShardStore>(
           shard_sizes(layer_ids_.size(), num_trials, shard_trials), std::move(store_config))) {}
 
-ShardedYearLossTable::ShardView ShardedYearLossTable::shard(std::size_t shard_index) {
+ShardedYearLossTable::ShardView ShardedYearLossTable::pin_view(std::size_t shard_index,
+                                                               ShardStore::Access access) {
   const std::uint64_t begin = shard_begin(shard_index);
   const auto trials = static_cast<std::size_t>(shard_end(shard_index) - begin);
-  return ShardView(store_->pin(shard_index), begin, trials);
+  return ShardView(store_->pin(shard_index, access), begin, trials);
 }
 
 void ShardedYearLossTable::write(std::size_t layer_index, std::uint64_t trial_begin,
@@ -53,7 +54,7 @@ void ShardedYearLossTable::write(std::size_t layer_index, std::uint64_t trial_be
 core::YearLossTable ShardedYearLossTable::materialize() {
   core::YearLossTable ylt(std::vector<std::uint32_t>(layer_ids_.begin(), layer_ids_.end()),
                           static_cast<std::size_t>(num_trials_));
-  for_each_shard([&](ShardView& view) {
+  for_each_shard([&](const ShardView& view) {
     for (std::size_t layer = 0; layer < num_layers(); ++layer) {
       const auto shard_row = view.layer_losses(layer);
       double* out = ylt.layer_losses(layer).data() + view.trial_begin();

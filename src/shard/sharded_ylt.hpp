@@ -47,7 +47,9 @@ class ShardedYearLossTable {
 
   /// A pinned view of one shard: layer rows of shard_end - shard_begin
   /// trials each. Holding it keeps the shard resident; drop it promptly so
-  /// the store can stay under budget.
+  /// the store can stay under budget. Only shard() hands out a mutable
+  /// view (a write pin); for_each_shard passes a const one over a read
+  /// pin, so a read pass cannot dirty a shard and force its rewrite.
   class ShardView {
    public:
     std::uint64_t trial_begin() const noexcept { return trial_begin_; }
@@ -70,22 +72,26 @@ class ShardedYearLossTable {
     std::size_t trials_ = 0;
   };
 
-  /// Pins shard `shard_index` (faulting it back from disk if it was
-  /// spilled). Thread-safe; concurrent writers to the same shard must
-  /// target disjoint trial ranges.
-  ShardView shard(std::size_t shard_index);
+  /// Pins shard `shard_index` for writing (faulting it back from disk if
+  /// it was spilled). Thread-safe; concurrent writers to the same shard
+  /// must target disjoint trial ranges.
+  ShardView shard(std::size_t shard_index) {
+    return pin_view(shard_index, ShardStore::Access::kWrite);
+  }
 
   /// Copies one layer's losses for [trial_begin, trial_begin + n) into the
   /// owning shard. The range must lie within one shard (YltSink contract).
   void write(std::size_t layer_index, std::uint64_t trial_begin, std::span<const double> losses);
 
-  /// Streams every shard in trial order through `fn(view)` — the shard-wise
-  /// reduction primitive. Each shard is released before the next is pinned,
-  /// so peak residency is one shard regardless of table size.
+  /// Streams every shard in trial order through `fn(const ShardView&)` —
+  /// the shard-wise reduction primitive. Each shard is read-pinned and
+  /// released before the next is pinned, so peak residency is one shard
+  /// regardless of table size, and a shard faulted in for the pass is
+  /// dropped again without a rewrite.
   template <typename Fn>
   void for_each_shard(Fn&& fn) {
     for (std::size_t i = 0; i < num_shards(); ++i) {
-      ShardView view = shard(i);
+      const ShardView view = pin_view(i, ShardStore::Access::kRead);
       fn(view);
     }
   }
@@ -98,6 +104,7 @@ class ShardedYearLossTable {
   const std::filesystem::path& spill_dir() const noexcept { return store_->spill_dir(); }
 
  private:
+  ShardView pin_view(std::size_t shard_index, ShardStore::Access access);
   static std::vector<std::size_t> shard_sizes(std::size_t num_layers, std::uint64_t num_trials,
                                               std::uint64_t shard_trials);
 

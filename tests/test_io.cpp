@@ -1,10 +1,12 @@
 // Tests for CSV and binary serialization: round trips, format validation
-// and corruption detection.
+// and corruption detection, the version-2 checksum and version-1 reads.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <sstream>
+#include <vector>
 
+#include "binary_v1.hpp"
 #include "core/status.hpp"
 #include "core/year_loss_table.hpp"
 #include "io/binary.hpp"
@@ -177,6 +179,142 @@ TEST(Binary, RejectsLengthFieldBeyondTheStreamBeforeAllocating) {
   } catch (const core::StatusError& error) {
     EXPECT_EQ(error.code(), core::StatusCode::kDataCorruption) << error.what();
   }
+}
+
+// --- Format version 2 -------------------------------------------------------------
+
+yet::YearEventTable sample_yet() {
+  yet::YetConfig config;
+  config.num_trials = 40;
+  config.events_per_trial = 12.0;
+  config.count_model = yet::CountModel::kPoisson;
+  return yet::generate_uniform_yet(config, 5'000);
+}
+
+void expect_same_yet(const yet::YearEventTable& a, const yet::YearEventTable& b) {
+  ASSERT_EQ(a.num_trials(), b.num_trials());
+  ASSERT_EQ(a.total_events(), b.total_events());
+  EXPECT_EQ(0, std::memcmp(a.events().data(), b.events().data(), a.events().size_bytes()));
+  EXPECT_EQ(0, std::memcmp(a.times().data(), b.times().data(), a.times().size_bytes()));
+  EXPECT_EQ(0, std::memcmp(a.offsets().data(), b.offsets().data(), a.offsets().size_bytes()));
+}
+
+std::uint32_t version_field(const std::string& bytes) {
+  std::uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 4, sizeof version);
+  return version;
+}
+
+TEST(Binary, Checksum64KnownValues) {
+  // XXH64 with seed 0 (published constants)...
+  EXPECT_EQ(io::checksum64("", 0), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(io::checksum64("a", 1), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(io::checksum64("abc", 3), 0x44BC2CF5AD770999ULL);
+  // ...and pinned values around the 32-byte stripe: tail only, one full
+  // stripe, one stripe plus a tail byte.
+  unsigned char bytes[33];
+  for (std::size_t i = 0; i < sizeof bytes; ++i) bytes[i] = static_cast<unsigned char>(i);
+  EXPECT_EQ(io::checksum64(bytes, 0), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(io::checksum64(bytes, 1), 0xE934A84ADB052768ULL);
+  EXPECT_EQ(io::checksum64(bytes, 31), 0xC346D2B59B4D8EE1ULL);
+  EXPECT_EQ(io::checksum64(bytes, 32), 0xCBF59C5116FF32B4ULL);
+  EXPECT_EQ(io::checksum64(bytes, 33), 0x0C535D1ACAFB8EADULL);
+  // The seed chains one vector's hash into the next.
+  EXPECT_NE(io::checksum64(bytes, 33, 1), io::checksum64(bytes, 33));
+}
+
+TEST(Binary, WritersEmitVersion2) {
+  std::stringstream elt_stream, yet_stream, shard_stream;
+  io::write_elt_binary(elt_stream, sample_elt());
+  io::write_yet_binary(yet_stream, sample_yet());
+  io::write_shard_binary(shard_stream, std::vector<double>{1.0, 2.0});
+  EXPECT_EQ(version_field(elt_stream.str()), 2u);
+  EXPECT_EQ(version_field(yet_stream.str()), 2u);
+  EXPECT_EQ(version_field(shard_stream.str()), 2u);
+}
+
+TEST(Binary, ReadsVersion1YetAndEltIdentically) {
+  const yet::YearEventTable original = sample_yet();
+  std::stringstream v1_yet(binary_v1::yet_bytes(original));
+  expect_same_yet(io::read_yet_binary(v1_yet), original);
+
+  std::stringstream v1_elt(binary_v1::elt_bytes(sample_elt()));
+  const elt::EventLossTable restored = io::read_elt_binary(v1_elt);
+  const elt::EventLossTable expected = sample_elt();
+  ASSERT_EQ(restored.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(restored.records()[i].event, expected.records()[i].event);
+    EXPECT_EQ(restored.records()[i].loss, expected.records()[i].loss);
+  }
+
+  // A version-1 stream still fails on a flipped payload bit.
+  std::string corrupt = binary_v1::yet_bytes(original);
+  corrupt[corrupt.size() / 2] ^= 0x04;
+  std::stringstream corrupted(corrupt);
+  EXPECT_THROW((void)io::read_yet_binary(corrupted), core::StatusError);
+}
+
+TEST(Binary, RejectsUnknownVersionAndVersion1Shards) {
+  const auto expect_corrupt = [](const auto& read) {
+    try {
+      read();
+      FAIL() << "expected StatusError";
+    } catch (const core::StatusError& error) {
+      EXPECT_EQ(error.code(), core::StatusCode::kDataCorruption) << error.what();
+    }
+  };
+  const std::uint32_t three = 3;
+  std::stringstream yet_stream, elt_stream, shard_stream;
+  io::write_yet_binary(yet_stream, sample_yet());
+  io::write_elt_binary(elt_stream, sample_elt());
+  io::write_shard_binary(shard_stream, std::vector<double>{1.0, 2.0});
+  std::string yet_bytes = yet_stream.str(), elt_bytes = elt_stream.str();
+  std::memcpy(yet_bytes.data() + 4, &three, sizeof three);
+  std::memcpy(elt_bytes.data() + 4, &three, sizeof three);
+  expect_corrupt([&] {
+    std::stringstream in(yet_bytes);
+    (void)io::read_yet_binary(in);
+  });
+  expect_corrupt([&] {
+    std::stringstream in(elt_bytes);
+    (void)io::read_elt_binary(in);
+  });
+  // Spill shards are version 2 only.
+  const std::uint32_t one = 1;
+  std::string shard_bytes = shard_stream.str();
+  std::memcpy(shard_bytes.data() + 4, &one, sizeof one);
+  expect_corrupt([&] {
+    std::stringstream in(shard_bytes);
+    std::vector<double> values(2);
+    io::read_shard_binary(in, values);
+  });
+}
+
+TEST(Binary, DetectsTwoSignFlipsOneStripeApart) {
+  // Flipping bit 63 of two words 32 bytes apart hits the same lane in
+  // consecutive stripes. A lane of plain multiply-xor rounds would carry
+  // the first flip to bit 63 only and the second would cancel it; the
+  // rotate in each round spreads it first.
+  std::vector<double> values(64);
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = 1.0 + static_cast<double>(i);
+  for (const std::size_t at : {std::size_t{4}, std::size_t{8}, std::size_t{9}}) {
+    std::vector<double> flipped = values;
+    flipped[at] = -flipped[at];          // the sign is bit 63
+    flipped[at + 4] = -flipped[at + 4];  // 32 bytes further on
+    EXPECT_NE(io::checksum64(flipped.data(), flipped.size() * sizeof(double)),
+              io::checksum64(values.data(), values.size() * sizeof(double)))
+        << at;
+  }
+
+  // And through a spill shard: the reader rejects the doubly-flipped file.
+  std::stringstream stream;
+  io::write_shard_binary(stream, values);
+  std::string bytes = stream.str();
+  bytes[16 + 8 * 8 + 7] ^= static_cast<char>(0x80);   // value 8's sign
+  bytes[16 + 12 * 8 + 7] ^= static_cast<char>(0x80);  // value 12's sign
+  std::stringstream corrupted(bytes);
+  std::vector<double> restored(values.size());
+  EXPECT_THROW(io::read_shard_binary(corrupted, restored), core::StatusError);
 }
 
 TEST(Binary, EmptyEltRoundTrip) {

@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -564,6 +565,34 @@ TEST_F(Service, SocketRoundTrip) {
             std::string::npos);
   serving.join();
   EXPECT_FALSE(std::filesystem::exists(socket_path));
+}
+
+TEST_F(Service, SequentialConnectionsDoNotAccumulateHandlerThreads) {
+  auto service_ptr = make_service();
+  const std::string socket_path =
+      (std::filesystem::temp_directory_path() / "are_test_service_reap.sock").string();
+  service::Server server(*service_ptr, {.socket_path = socket_path});
+  std::thread serving([&] { server.serve(); });
+  while (!std::filesystem::exists(socket_path)) std::this_thread::yield();
+
+  // Each round trip opens, uses and closes one connection. Without reaping,
+  // every one of them would leave an unjoined handler thread behind.
+  constexpr std::size_t kConnections = 48;
+  std::size_t most_live = 0;
+  for (std::size_t i = 0; i < kConnections; ++i) {
+    EXPECT_EQ(service::Server::round_trip(socket_path, "PING"),
+              "{\"status\":\"ok\",\"pong\":true}");
+    most_live = std::max(most_live, server.live_handlers());
+  }
+  EXPECT_LE(most_live, 8u);
+  // Once every client has gone, the accept loop's next pass (at most one
+  // poll timeout away) joins the rest.
+  for (int wait = 0; wait < 100 && server.live_handlers() > 0; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(server.live_handlers(), 0u);
+  service::Server::round_trip(socket_path, "SHUTDOWN");
+  serving.join();
 }
 
 TEST_F(Service, OversizedRequestLineIsRejectedAndTheServerKeepsServing) {

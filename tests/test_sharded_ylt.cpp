@@ -2,7 +2,7 @@
 // materialized bit-identity across engine presets x shard sizes
 // (including shard size 1 and one shard spanning every trial), forced
 // spill-and-restore under a tiny memory budget, spill round-trip fidelity
-// at the store and io levels, the YltSink contract, and shard-wise
+// at the store and io levels, clean shards evicting without a rewrite, the YltSink contract, and shard-wise
 // EP/AAL/TVaR reductions against the in-memory metrics.
 #include <gtest/gtest.h>
 
@@ -15,12 +15,14 @@
 
 #include "core/analysis.hpp"
 #include "core/engine.hpp"
+#include "core/status.hpp"
 #include "elt/synthetic.hpp"
 #include "io/binary.hpp"
 #include "io/csv.hpp"
 #include "metrics/ep_curve.hpp"
 #include "metrics/sharded_reduce.hpp"
 #include "metrics/statistics.hpp"
+#include "obs/telemetry.hpp"
 #include "shard/sharded_run.hpp"
 #include "shard/sharded_ylt.hpp"
 #include "yet/generator.hpp"
@@ -283,6 +285,110 @@ TEST(ShardStore, SpillFilesAreRemovedOnDestruction) {
   }
   EXPECT_FALSE(std::filesystem::exists(dir / "shard_0.bin"));
   EXPECT_FALSE(std::filesystem::exists(dir));  // store-owned temp dir is removed too
+}
+
+// --- Clean and dirty shards ----------------------------------------------------
+
+/// 8 shards of 2 layers x 8 trials, a two-shard budget, every cell
+/// written through the sink path (write pins), so the fill itself spills.
+ShardedYearLossTable filled_over_budget_table() {
+  ShardStoreConfig config;
+  config.memory_budget_bytes = 2 * 16 * sizeof(double);
+  ShardedYearLossTable table({1, 2}, 64, 8, config);
+  for (std::size_t layer = 0; layer < 2; ++layer) {
+    for (std::uint64_t begin = 0; begin < 64; begin += 8) {
+      std::vector<double> losses(8);
+      for (std::size_t i = 0; i < 8; ++i) losses[i] = static_cast<double>(layer * 1000 + begin + i);
+      table.write(layer, begin, losses);
+    }
+  }
+  return table;
+}
+
+TEST(ShardStore, ReadOnlyPassFaultsButNeverRewrites) {
+  const obs::RunScope counters(true, false);
+  ShardedYearLossTable table = filled_over_budget_table();
+  // The first read pass still writes out the dirty shards the fill left
+  // resident; from then on every shard is clean.
+  (void)metrics::stats_sharded(table, 0);
+  const shard::ShardStoreStats before = table.stats();
+  const std::uint64_t bytes_before =
+      obs::TelemetryRegistry::global().snapshot().counter_value("shard.bytes_spilled");
+  ASSERT_GT(before.spills, 0u);
+
+  // Two more full read passes: every shard beyond the budget faults back
+  // in and is dropped again, clean, so nothing is written.
+  const metrics::RunningStats stats = metrics::stats_sharded(table, 1);
+  std::ostringstream csv;
+  io::write_ylt_csv(csv, table);
+  const shard::ShardStoreStats after = table.stats();
+  EXPECT_GT(after.faults, before.faults);
+  EXPECT_EQ(after.spills, before.spills);
+  EXPECT_EQ(obs::TelemetryRegistry::global().snapshot().counter_value("shard.bytes_spilled"),
+            bytes_before);
+  EXPECT_EQ(stats.count(), 64u);
+  EXPECT_DOUBLE_EQ(stats.mean(), 1000.0 + 31.5);
+}
+
+TEST(ShardStore, WritePinAfterCleanFaultInStillSpills) {
+  ShardStoreConfig config;
+  config.memory_budget_bytes = 16 * sizeof(double);  // one shard resident
+  shard::ShardStore store({16, 16}, config);
+  using Access = shard::ShardStore::Access;
+
+  { auto pin = store.pin(0); pin.data()[0] = 1.0; }
+  { auto pin = store.pin(1, Access::kRead); }  // evicts dirty shard 0: a write
+  EXPECT_EQ(store.stats().spills, 1u);
+  {
+    auto pin = store.pin(0, Access::kRead);  // faults 0 in; drops clean 1 unwritten
+    EXPECT_EQ(pin.data()[0], 1.0);
+  }
+  EXPECT_EQ(store.stats().faults, 1u);
+  EXPECT_EQ(store.stats().spills, 1u);
+
+  // A write pin on the clean, resident shard makes it dirty again: its
+  // next eviction writes, and the new bytes come back on the next fault.
+  { auto pin = store.pin(0); pin.data()[0] = 2.0; }
+  { auto pin = store.pin(1, Access::kRead); }
+  EXPECT_EQ(store.stats().spills, 2u);
+  {
+    auto pin = store.pin(0, Access::kRead);
+    EXPECT_EQ(pin.data()[0], 2.0);
+  }
+  EXPECT_EQ(store.stats().faults, 2u);
+  // Shard 1 was only ever read: it went back to zeros, never to disk.
+  EXPECT_FALSE(std::filesystem::exists(store.spill_dir() / "shard_1.bin"));
+}
+
+TEST(ShardStore, CorruptFileOfCleanDroppedShardIsQuarantined) {
+  ShardStoreConfig config;
+  config.memory_budget_bytes = 16 * sizeof(double);
+  shard::ShardStore store({16, 16}, config);
+  using Access = shard::ShardStore::Access;
+
+  { auto pin = store.pin(0); pin.data()[3] = 42.0; }
+  { auto pin = store.pin(1, Access::kRead); }  // spills shard 0
+  { auto pin = store.pin(0, Access::kRead); }  // clean fault-in
+  { auto pin = store.pin(1, Access::kRead); }  // clean drop: the file is the only copy
+  ASSERT_EQ(store.stats().spills, 1u);
+
+  // Corrupt the payload on disk while the shard is not resident.
+  const std::filesystem::path file = store.spill_dir() / "shard_0.bin";
+  {
+    std::fstream io(file, std::ios::in | std::ios::out | std::ios::binary);
+    io.seekp(16 + 3 * sizeof(double));  // magic + version + count, then value 3
+    const double bad = -42.0;
+    io.write(reinterpret_cast<const char*>(&bad), sizeof bad);
+  }
+  try {
+    (void)store.pin(0, Access::kRead);
+    FAIL() << "expected StatusError";
+  } catch (const core::StatusError& error) {
+    EXPECT_EQ(error.code(), core::StatusCode::kDataCorruption);
+  }
+  EXPECT_EQ(store.stats().quarantined, 1u);
+  EXPECT_TRUE(std::filesystem::exists(file.string() + ".quarantined"));
+  EXPECT_THROW((void)store.pin(0, Access::kRead), core::StatusError);
 }
 
 TEST(ShardBinary, RoundTripAndCorruptionDetection) {

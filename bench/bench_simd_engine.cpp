@@ -101,7 +101,7 @@ void engine_simd(benchmark::State& state, std::optional<simd::Extension> extensi
     benchmark::DoNotOptimize(ylt);
   }
   state.counters["lanes"] = static_cast<double>(
-      simd::lanes_of(core::resolve_simd_extension(portfolio, extension).extension));
+      simd::lanes_of(core::resolve_simd_extension(extension).extension));
 }
 
 void engine_sequential_cached(benchmark::State& state) {
@@ -133,7 +133,7 @@ void engine_simd_threads(benchmark::State& state) {
   }
   state.counters["threads"] = static_cast<double>(state.range(0));
   state.counters["lanes"] = static_cast<double>(simd::lanes_of(
-      core::resolve_simd_extension(direct_portfolio(), config.simd_extension).extension));
+      core::resolve_simd_extension(config.simd_extension).extension));
 }
 
 void engine_sequential_generic(benchmark::State& state) {

@@ -1,10 +1,8 @@
 #include "core/analysis.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
-#include "elt/direct_access_table.hpp"
 #include "fault/fault_injection.hpp"
 #include "obs/telemetry.hpp"
 
@@ -32,35 +30,13 @@ std::string_view to_string(EngineKind kind) noexcept { return engine_preset(kind
 
 namespace {
 
-/// Direct-table bytes a layer's lookups touch. Above this, gathers lose to
-/// the cache hierarchy (lookups miss whatever the lane width, and wide
-/// hardware gathers issue more uops per miss than scalar loads), so auto
-/// narrows to SSE2 — which keeps the vectorized financial/layer phases but
-/// gathers with plain loads. Measured crossover on Skylake-class parts is
-/// between ~5 MB (still wins) and ~24 MB (loses).
-constexpr std::size_t kWideLaneFootprintBytes = 6u << 20;
-
-std::size_t max_layer_direct_footprint(const Portfolio& portfolio) noexcept {
-  std::size_t max_bytes = 0;
-  for (const Layer& layer : portfolio.layers) {
-    if (!layer.all_direct_access()) continue;
-    std::size_t bytes = 0;
-    for (const LayerElt& layer_elt : layer.elts) {
-      bytes += layer_elt.lookup->as_direct_access()->universe() * sizeof(double);
-    }
-    max_bytes = std::max(max_bytes, bytes);
-  }
-  return max_bytes;
-}
-
 bool runnable(simd::Extension extension) noexcept {
   return simd::mask_has(simd::runnable_extensions(), extension);
 }
 
 }  // namespace
 
-SimdResolution resolve_simd_extension(const Portfolio& portfolio,
-                                      std::optional<simd::Extension> requested) {
+SimdResolution resolve_simd_extension(std::optional<simd::Extension> requested) {
   SimdResolution resolved;
   if (requested) {
     resolved.extension = *requested;
@@ -68,21 +44,6 @@ SimdResolution resolve_simd_extension(const Portfolio& portfolio,
   } else {
     resolved.extension = simd::best_extension();
     resolved.note = simd::best_extension_reason();
-    // Memory-bound portfolios: narrow to SSE2 when wide gathers stop paying
-    // (see kWideLaneFootprintBytes). An explicit ARE_SIMD_EXT override wins
-    // over the heuristic: an operator pinning the extension is usually
-    // measuring exactly this trade-off.
-    const std::size_t footprint = max_layer_direct_footprint(portfolio);
-    if (!simd::env_override() &&
-        (resolved.extension == simd::Extension::kAvx2 ||
-         resolved.extension == simd::Extension::kAvx512) &&
-        footprint > kWideLaneFootprintBytes && runnable(simd::Extension::kSse2)) {
-      resolved.note = "narrowed " + std::string(simd::name_of(resolved.extension)) +
-                      " -> sse2: direct-table footprint " + std::to_string(footprint >> 20) +
-                      " MB > " + std::to_string(kWideLaneFootprintBytes >> 20) +
-                      " MB (wide gathers stop paying once every lookup misses)";
-      resolved.extension = simd::Extension::kSse2;
-    }
   }
   if (!runnable(resolved.extension)) {
     throw std::invalid_argument("simd extension '" +
@@ -141,7 +102,7 @@ void execute(const AnalysisRequest& request, YearLossTable* ylt, YltSink* sink) 
   kernel.ground_up_replay = config.ground_up_replay;
   kernel.cancel = config.cancel;
   if (preset.lanes) {
-    SimdResolution simd = resolve_simd_extension(request.portfolio, config.simd_extension);
+    SimdResolution simd = resolve_simd_extension(config.simd_extension);
     kernel.extension = simd.extension;
     if (facts != nullptr) {
       facts->simd_extension_used = simd.extension;

@@ -123,22 +123,20 @@ std::string_view to_string(EngineKind kind) noexcept;
 
 /// The lane type a lanes preset executes, and WHY — the sentence the
 /// instrumentation note and --verbose surface: explicit request, the
-/// ARE_SIMD_EXT override, the cpuid / compiled-in cap, or the cache-regime
-/// narrowing with the footprint that triggered it.
+/// ARE_SIMD_EXT override, or the cpuid / compiled-in cap.
 struct SimdResolution {
   simd::Extension extension = simd::Extension::kScalar;
   std::string note;
 };
 
-/// Resolves a requested extension for this portfolio. std::nullopt means
-/// auto: the runtime dispatch decision (simd::best_extension()), narrowed
-/// to SSE2 when the portfolio's direct tables far outgrow the cache (wide
-/// gathers stop paying once every lookup misses; an ARE_SIMD_EXT override
-/// wins over the narrowing). Throws std::invalid_argument for an extension
-/// not runnable on this (binary, host). Never changes results: every
-/// extension is bit-identical.
-SimdResolution resolve_simd_extension(const Portfolio& portfolio,
-                                      std::optional<simd::Extension> requested);
+/// Resolves a requested extension. std::nullopt means auto: the runtime
+/// dispatch decision (simd::best_extension(), which honours ARE_SIMD_EXT),
+/// whatever the portfolio — memory-bound direct layers no longer gather
+/// wide (they run from core::SparseLayerTable), so there is nothing to
+/// narrow for. Throws std::invalid_argument for an extension not runnable
+/// on this (binary, host). Never changes results: every extension is
+/// bit-identical.
+SimdResolution resolve_simd_extension(std::optional<simd::Extension> requested);
 
 /// Per-run facts written back through AnalysisConfig::instrumentation.
 struct InstrumentationSink {

@@ -27,6 +27,7 @@
 
 #include "core/direct_elt_view.hpp"
 #include "core/simd_terms.hpp"
+#include "core/sparse_layer.hpp"
 #include "core/status.hpp"
 #include "core/trial_kernel.hpp"
 #include "fault/fault_injection.hpp"
@@ -58,24 +59,29 @@ inline double kernel_seconds_between(KernelBodyClock::time_point a,
   return std::chrono::duration<double>(b - a).count();
 }
 
-/// Immutable per-layer execution state hoisted out of the block loop: the
-/// direct-table view (when eligible), the ELT/layer terms broadcast into
+/// Immutable per-layer execution state hoisted out of the block loop: how
+/// the layer's ELTs are combined (sparse table, dense direct gathers, or
+/// the generic lookup_many path), the ELT/layer terms broadcast into
 /// registers once, and the layer's YLT row (empty in sink mode, where block
 /// rows are staged and emitted instead).
 template <typename V>
 struct LayerPlan {
   const Layer* layer;
-  std::vector<detail::DirectElt> direct;  // empty unless Layer::all_direct_access()
+  // All-direct layers: the sparse event-major table when the dense tables
+  // outgrow the cache (SparseLayerTable::wanted), else the dense view.
+  std::unique_ptr<const SparseLayerTable> sparse;
+  std::vector<detail::DirectElt> direct;
   std::vector<detail::EltTermsV<V>> elt_terms;
   detail::LayerTermsV<V> terms;
   std::span<double> losses;
 };
 
 /// Combined ELT loss per event over the staged span, direct-table fast
-/// path: guarded gathers straight out of the (untransposed) YET event
-/// slice. The first ELT writes, later ELTs accumulate — same per-event
-/// summation order as the scalar reference (0.0 + x == x exactly for the
-/// engine's domain).
+/// path for cache-resident layers (memory-bound ones use their
+/// SparseLayerTable): guarded gathers straight out of the (untransposed)
+/// YET event slice. The first ELT writes, later ELTs accumulate — same
+/// per-event summation order as the scalar reference (0.0 + x == x
+/// exactly for the engine's domain).
 template <typename V>
 void combine_elts_direct(const LayerPlan<V>& plan, const yet::EventId* events, std::size_t count,
                          double* combined) noexcept {
@@ -210,7 +216,13 @@ class KernelImpl final : public TrialBlockKernel::Impl {
       const Layer& layer = portfolio.layers[layer_index];
       LayerPlan<V> plan;
       plan.layer = &layer;
-      if (layer.all_direct_access()) plan.direct = detail::direct_view(layer);
+      if (SparseLayerTable::wanted(layer)) {
+        obs::Span span("kernel.sparse_layer_build", "kernel");
+        plan.sparse = std::make_unique<const SparseLayerTable>(layer);
+      } else if (layer.all_direct_access()) {
+        plan.direct = detail::direct_view(layer);
+      }
+      if (plan.sparse || !plan.direct.empty()) direct_elts_ += layer.elts.size();
       plan.elt_terms.reserve(layer.elts.size());
       for (const LayerElt& layer_elt : layer.elts) {
         plan.elt_terms.push_back(detail::EltTermsV<V>::from(layer_elt.terms));
@@ -250,6 +262,13 @@ class KernelImpl final : public TrialBlockKernel::Impl {
       if (capture_ != nullptr) {
         registry.counter("kernel.ground_up.captured_events")
             .add(offsets[up_to] - offsets[first]);
+      }
+      // The sparse and dense-gather paths bypass lookup_many and its
+      // counter, so their ELT lookups (layers x ELTs x events) are counted
+      // here; instrumented and replay blocks make none of these.
+      if (direct_elts_ != 0 && !instrument_ && replay_ == nullptr) {
+        registry.counter("elt.direct_access.lookups")
+            .add(direct_elts_ * (offsets[up_to] - offsets[first]));
       }
     };
 
@@ -337,7 +356,9 @@ class KernelImpl final : public TrialBlockKernel::Impl {
           // block when unconstrained).
           for (std::size_t c0 = 0; c0 < count; c0 += chunk) {
             const std::size_t n = std::min(chunk, count - c0);
-            if (!plan.direct.empty()) {
+            if (plan.sparse) {
+              plan.sparse->combine(events + c0, n, combined + c0);
+            } else if (!plan.direct.empty()) {
               combine_elts_direct<V>(plan, events + c0, n, combined + c0);
             } else {
               combine_elts_generic<V>(plan, events + c0, n, combined + c0, scratch.raw);
@@ -379,7 +400,8 @@ class KernelImpl final : public TrialBlockKernel::Impl {
 
   /// Instrumented block: the same arithmetic as the fast path (the YLT
   /// bytes do not change — direct layers route through their lookup_many
-  /// overrides, which read the same table cells the gathers do) with the
+  /// overrides, which read the same losses the gathers and the sparse
+  /// layer tables do, though not at the same memory cost) with the
   /// block's YET slice explicitly staged once (timed as the fetch phase)
   /// and per-phase timers around the batched lookup / financial / layer
   /// sweeps. Access counters follow the paper's algorithmic counts (one
@@ -453,6 +475,7 @@ class KernelImpl final : public TrialBlockKernel::Impl {
   }
 
   std::vector<LayerPlan<V>> plans_;
+  std::uint64_t direct_elts_ = 0;  // ELTs across the layers on the sparse/dense-gather paths
   const yet::YearEventTable* yet_;
   CoverageWindow window_storage_;
   const CoverageWindow* window_ = nullptr;  // null = full year

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "elt/lookup.hpp"
@@ -12,6 +13,13 @@ namespace are::elt {
 /// ELT stores 2M doubles of which 1.98M are zero, but every lookup is a
 /// single memory access, which matters because aggregate analysis is
 /// memory-access bound (78% of time in ELT lookups, Fig 6b).
+///
+/// That single access only pays while the dense arrays stay in cache. The
+/// table therefore also remembers which events it holds (present_events(),
+/// sorted and unique, 4 B per entry): the trial kernel fuses a layer whose
+/// dense tables total more than core::kWideLaneFootprintBytes into one
+/// event-major core::SparseLayerTable built from these lists, and gathers
+/// from the dense arrays only for cache-resident layers.
 class DirectAccessTable final : public ILossLookup {
  public:
   DirectAccessTable(const EventLossTable& table, std::size_t catalog_size);
@@ -26,11 +34,11 @@ class DirectAccessTable final : public ILossLookup {
   void lookup_many(const EventId* events, std::size_t count, double* out) const noexcept override;
 
   std::size_t memory_bytes() const noexcept override {
-    return losses_.size() * sizeof(double);
+    return losses_.size() * sizeof(double) + present_.size() * sizeof(EventId);
   }
 
   LookupKind kind() const noexcept override { return LookupKind::kDirectAccess; }
-  std::size_t entry_count() const noexcept override { return entries_; }
+  std::size_t entry_count() const noexcept override { return present_.size(); }
   const DirectAccessTable* as_direct_access() const noexcept override { return this; }
 
   /// Raw dense view for the chunked/simgpu kernels, which model coalesced
@@ -38,9 +46,12 @@ class DirectAccessTable final : public ILossLookup {
   const double* data() const noexcept { return losses_.data(); }
   std::size_t universe() const noexcept { return losses_.size(); }
 
+  /// The ELT's event ids, sorted and unique (its records, in order).
+  std::span<const EventId> present_events() const noexcept { return present_; }
+
  private:
   std::vector<double> losses_;
-  std::size_t entries_ = 0;
+  std::vector<EventId> present_;
 };
 
 }  // namespace are::elt

@@ -36,9 +36,10 @@ std::size_t next_pow2(std::size_t n) {
 DirectAccessTable::DirectAccessTable(const EventLossTable& table, std::size_t catalog_size) {
   validate_universe(table, catalog_size);
   losses_.assign(catalog_size, 0.0);
+  present_.reserve(table.size());
   for (const EventLoss& record : table.records()) {
     losses_[record.event] = record.loss;
-    ++entries_;
+    present_.push_back(record.event);
   }
 }
 

@@ -141,6 +141,16 @@ std::string error_json(const std::string& message) {
   return error_json(core::Status{core::StatusCode::kInternal, message});
 }
 
+/// The line a connection over Server::kMaxConnections gets before close.
+std::string too_many_connections_json() {
+  const core::StatusCode code = core::StatusCode::kResourceExhausted;
+  return "{\"status\":\"rejected\",\"code\":\"" + std::string(core::to_string(code)) +
+         "\",\"retryable\":" + (core::retryable(code) ? "true" : "false") +
+         ",\"reason\":\"too-many-connections\",\"message\":\"" +
+         std::to_string(Server::kMaxConnections) +
+         " connections already open; closing this one\"}\n";
+}
+
 std::string admission_json(const AdmissionDecision& decision) {
   std::ostringstream out;
   out << "{\"outcome\":\"" << to_string(decision.outcome) << "\""
@@ -241,7 +251,9 @@ int make_listen_socket(const std::string& path) {
 void write_all(int fd, const std::string& data) {
   std::size_t sent = 0;
   while (sent < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + sent, data.size() - sent);
+    // MSG_NOSIGNAL: a peer that already hung up (say, one turned away at
+    // the connection cap) must not SIGPIPE the server.
+    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return;  // peer went away; nothing sensible to do server-side
@@ -417,6 +429,15 @@ int Server::serve() {
       // Simulated accept-side failure (fd exhaustion, peer reset before
       // handshake): the connection is dropped, the accept loop lives on —
       // clients see a closed socket, never a dead server.
+      ::close(conn);
+      continue;
+    }
+    if (handlers.size() >= kMaxConnections) {
+      // Over the cap: one structured rejection line, then close — the
+      // client learns why, and the server never grows a thread per
+      // connection without bound.
+      obs::TelemetryRegistry::global().counter("service.rejected_connections").increment();
+      write_all(conn, too_many_connections_json());
       ::close(conn);
       continue;
     }

@@ -34,7 +34,10 @@
 // socket; serve() owns the accept loop (one thread per connection, joined
 // on shutdown). A connection that sends more than kMaxLineBytes without a
 // newline gets one "invalid-argument" error line and is closed, so a
-// client can never grow the server's line buffer without bound.
+// client can never grow the server's line buffer without bound. Likewise
+// a connection beyond kMaxConnections open ones gets one "rejected" line
+// (code "resource-exhausted", reason "too-many-connections") and is
+// closed, so clients can never grow the handler threads without bound.
 
 #include <atomic>
 #include <cstddef>
@@ -55,6 +58,10 @@ class Server {
  public:
   /// Longest unterminated request line a connection may buffer.
   static constexpr std::size_t kMaxLineBytes = std::size_t{64} << 10;
+  /// Connections served at once (one handler thread each). Far above what
+  /// a quoting client fleet keeps open — one connection per in-flight
+  /// quote — and far below what exhausts threads or fds.
+  static constexpr std::size_t kMaxConnections = 128;
 
   Server(AnalysisService& service, ServerOptions options = {});
 

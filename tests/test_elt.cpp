@@ -4,6 +4,7 @@
 // exactly like the reference binary search.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -152,15 +153,26 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, LookupEquivalence,
 
 TEST(DirectAccessTable, MemoryIsUniverseSized) {
   // The paper's trade-off made concrete: memory scales with the catalog,
-  // not the ELT.
+  // not the ELT (plus the 4 B event id each entry keeps for the sparse
+  // layer table).
   const EventLossTable table({{1, 1.0}});
   const elt::DirectAccessTable small(table, 1'000);
   const elt::DirectAccessTable large(table, 100'000);
-  EXPECT_EQ(small.memory_bytes(), 1'000 * sizeof(double));
-  EXPECT_EQ(large.memory_bytes(), 100'000 * sizeof(double));
+  EXPECT_EQ(small.memory_bytes(), 1'000 * sizeof(double) + sizeof(elt::EventId));
+  EXPECT_EQ(large.memory_bytes(), 100'000 * sizeof(double) + sizeof(elt::EventId));
   EXPECT_EQ(large.universe(), 100'000u);
   ASSERT_NE(large.data(), nullptr);
   EXPECT_DOUBLE_EQ(large.data()[1], 1.0);
+}
+
+TEST(DirectAccessTable, RemembersItsEventsInOrder) {
+  const EventLossTable table({{7, 2.0}, {3, 0.0}, {900, 1.5}});
+  const elt::DirectAccessTable direct(table, 1'000);
+  const std::vector<elt::EventId> expected{3, 7, 900};
+  EXPECT_TRUE(std::ranges::equal(direct.present_events(), expected));
+  EXPECT_EQ(direct.entry_count(), 3u);
+  // A record with loss 0.0 is still an entry of the ELT.
+  EXPECT_EQ(direct.lookup(3), 0.0);
 }
 
 TEST(SortedTable, MemoryIsEntrySized) {

@@ -263,7 +263,7 @@ TEST(UnifiedRun, SinkRecordsEngineAndSimdResolution) {
   EXPECT_EQ(*sink.engine_used, EngineKind::kSimd);
   ASSERT_TRUE(sink.simd_extension_used.has_value());
   EXPECT_EQ(*sink.simd_extension_used,
-            core::resolve_simd_extension(portfolio, std::nullopt).extension);
+            core::resolve_simd_extension(std::nullopt).extension);
   EXPECT_FALSE(sink.phases.has_value());  // only kInstrumented fills phases
 }
 

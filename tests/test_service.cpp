@@ -13,7 +13,8 @@
 //     rejection, and concurrent quoting;
 //   - concurrent core::run() hammering one borrowed pool + shared tables;
 //   - the line protocol (handle_line), a full AF_UNIX round trip, and the
-//     bound on an unterminated request line.
+//     bounds on an unterminated request line and on open connections;
+//   - the per-request ELT lookup count of a direct-table book.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -36,6 +37,7 @@
 #include "io/csv.hpp"
 #include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
+#include "service/access_log.hpp"
 #include "service/analysis_service.hpp"
 #include "service/portfolio_session.hpp"
 #include "service/request_broker.hpp"
@@ -172,8 +174,7 @@ TEST_F(Service, ReplaySkipsLookupAndFinancialPhasesEntirely) {
   obs::set_enabled(true);
   {
     // Instrumented capture: the instrumented block path routes direct
-    // layers through lookup_many, so the lookup counters tick (the fast
-    // path's raw gathers intentionally bypass them).
+    // layers through lookup_many, so the lookup counters tick.
     core::AnalysisConfig config;
     config.engine = core::EngineKind::kInstrumented;
     config.ground_up_capture = &cache;
@@ -414,6 +415,27 @@ TEST_F(Service, QuoteColdThenCachedThenDelta) {
   EXPECT_TRUE(bit_identical(reference.outcome->ylt, delta.outcome->ylt));
 }
 
+TEST_F(Service, DirectBookQuoteCountsEveryEltLookup) {
+  // The kernel's direct fast path bypasses lookup_many and its counter, so
+  // it counts its own lookups: layers x ELTs x events, exactly once.
+  auto service_ptr = make_service();
+  obs::set_enabled(true);
+  service::QuoteRequest request;
+  request.portfolio_id = "book";
+  const auto cold = service_ptr->quote(request);
+  ASSERT_EQ(cold.source, service::QuoteSource::kCold);
+  ASSERT_TRUE(cold.telemetry.has_value());
+  const std::uint64_t expected = 2 * 3 * make_yet().total_events();
+  EXPECT_EQ(cold.telemetry->counter_value("elt.direct_access.lookups"), expected);
+  EXPECT_EQ(service::make_log_entry(request, cold).elt_lookups, expected);
+
+  // A delta replay looks nothing up.
+  request.overrides.push_back({1, tweaked_terms()});
+  const auto delta = service_ptr->quote(request);
+  ASSERT_EQ(delta.source, service::QuoteSource::kDelta);
+  EXPECT_EQ(service::make_log_entry(request, delta).elt_lookups, 0u);
+}
+
 TEST_F(Service, DurableUpdateInvalidatesCacheButKeepsGroundUp) {
   auto service_ptr = make_service();
   auto& analysis_service = *service_ptr;
@@ -635,6 +657,79 @@ TEST_F(Service, OversizedRequestLineIsRejectedAndTheServerKeepsServing) {
   // A fresh connection is still answered.
   EXPECT_EQ(service::Server::round_trip(socket_path, "PING"),
             "{\"status\":\"ok\",\"pong\":true}");
+  service::Server::round_trip(socket_path, "SHUTDOWN");
+  serving.join();
+}
+
+TEST_F(Service, ConnectionsPastTheCapAreRejectedAndClosed) {
+  auto service_ptr = make_service();
+  const std::string socket_path =
+      (std::filesystem::temp_directory_path() / "are_test_service_cap.sock").string();
+  service::Server server(*service_ptr, {.socket_path = socket_path});
+  std::thread serving([&] { server.serve(); });
+  while (!std::filesystem::exists(socket_path)) std::this_thread::yield();
+
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
+  const auto connect_fd = [&] {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    // Reads time out, so a server that never answers fails the test
+    // instead of hanging it.
+    const timeval timeout{.tv_sec = 5, .tv_usec = 0};
+    if (fd >= 0) ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    if (fd >= 0 && ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
+      ::close(fd);
+      return -1;
+    }
+    return fd;
+  };
+  const auto read_all = [](int fd) {
+    std::string response;
+    char buf[4096];
+    for (;;) {
+      const ssize_t n = ::read(fd, buf, sizeof buf);
+      if (n <= 0) break;
+      response.append(buf, static_cast<std::size_t>(n));
+    }
+    return response;
+  };
+
+  // Fill every slot with an idle connection and wait until all are served.
+  std::vector<int> idle;
+  for (std::size_t i = 0; i < service::Server::kMaxConnections; ++i) {
+    idle.push_back(connect_fd());
+    ASSERT_GE(idle.back(), 0) << "connection " << i;
+  }
+  for (int wait = 0; wait < 500 && server.live_handlers() < idle.size(); ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(server.live_handlers(), service::Server::kMaxConnections);
+
+  // One more: a single structured rejection line, then EOF.
+  const int extra = connect_fd();
+  ASSERT_GE(extra, 0);
+  const std::string rejected = read_all(extra);
+  ::close(extra);
+  EXPECT_NE(rejected.find("\"status\":\"rejected\""), std::string::npos) << rejected;
+  EXPECT_NE(rejected.find("\"code\":\"resource-exhausted\""), std::string::npos) << rejected;
+  EXPECT_NE(rejected.find("\"reason\":\"too-many-connections\""), std::string::npos)
+      << rejected;
+  EXPECT_EQ(std::count(rejected.begin(), rejected.end(), '\n'), 1) << rejected;
+  EXPECT_EQ(server.live_handlers(), service::Server::kMaxConnections);
+
+  // A freed slot serves again once the accept loop reaps its handler.
+  ::close(idle.back());
+  idle.pop_back();
+  for (int wait = 0; wait < 100 && server.live_handlers() >= idle.size() + 1; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(service::Server::round_trip(socket_path, "PING"),
+            "{\"status\":\"ok\",\"pong\":true}");
+  for (const int fd : idle) ::close(fd);
+  for (int wait = 0; wait < 100 && server.live_handlers() > 0; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
   service::Server::round_trip(socket_path, "SHUTDOWN");
   serving.join();
 }

@@ -181,9 +181,7 @@ TEST(SimdVec, BestExtensionIsAvailable) {
   // Auto resolves through the runtime dispatch decision, not the
   // compile-time simd::kBestLanes of this TU — on a baseline build the
   // runtime choice is wider than anything this TU was compiled with.
-  EXPECT_EQ(core::resolve_simd_extension(tiny_portfolio(financial::LayerTerms{}), std::nullopt)
-                .extension,
-            simd::best_extension());
+  EXPECT_EQ(core::resolve_simd_extension(std::nullopt).extension, simd::best_extension());
   EXPECT_EQ(simd::lanes_of(Extension::kScalar), 1u);
 }
 
@@ -193,30 +191,34 @@ TEST(SimdVec, UnavailableExtensionThrows) {
        {Extension::kSse2, Extension::kAvx2, Extension::kAvx512, Extension::kNeon}) {
     if (runnable(extension)) continue;
     EXPECT_THROW(simd_run(portfolio, tiny_yet(), extension), std::invalid_argument);
-    EXPECT_THROW(core::resolve_simd_extension(portfolio, extension), std::invalid_argument);
+    EXPECT_THROW(core::resolve_simd_extension(extension), std::invalid_argument);
   }
 }
 
-TEST(SimdVec, AutoNarrowsForMemoryBoundPortfolios) {
-  const Extension best = simd::best_extension();
-  // A tiny cache-resident portfolio resolves to the widest extension.
-  EXPECT_EQ(core::resolve_simd_extension(tiny_portfolio(financial::LayerTerms{}), std::nullopt)
-                .extension,
-            best);
-  if (best == Extension::kAvx2 || best == Extension::kAvx512) {
-    // One direct ELT over a 2M-event universe (16 MB dense table) exceeds
-    // the wide-lane footprint threshold, so auto narrows to SSE2.
-    Layer layer;
-    layer.id = 1;
-    LayerElt layer_elt;
-    layer_elt.lookup = elt::make_lookup(elt::LookupKind::kDirectAccess, tiny_elt(), 2'000'000);
-    layer.elts.push_back(std::move(layer_elt));
-    Portfolio portfolio;
-    portfolio.layers.push_back(std::move(layer));
-    EXPECT_EQ(core::resolve_simd_extension(portfolio, std::nullopt).extension,
-              Extension::kSse2);
-    // An explicit extension request is never overridden.
-    EXPECT_EQ(core::resolve_simd_extension(portfolio, best).extension, best);
+TEST(SimdVec, AutoRunsWidestExtensionForMemoryBoundPortfolios) {
+  // One direct ELT over a 2M-event universe: a 16 MB dense table, past
+  // core::kWideLaneFootprintBytes, so the kernel runs the layer from its
+  // sparse table — and auto still picks the widest runnable extension.
+  Layer layer;
+  layer.id = 1;
+  LayerElt layer_elt;
+  layer_elt.lookup = elt::make_lookup(elt::LookupKind::kDirectAccess, tiny_elt(), 2'000'000);
+  layer.elts.push_back(std::move(layer_elt));
+  Portfolio portfolio;
+  portfolio.layers.push_back(std::move(layer));
+  const auto resolved_by_run = [&](std::optional<Extension> requested) {
+    core::InstrumentationSink sink;
+    core::run({portfolio, tiny_yet(),
+               {.engine = core::EngineKind::kSimd,
+                .num_threads = 1,
+                .simd_extension = requested,
+                .instrumentation = &sink}});
+    return sink.simd_extension_used;
+  };
+  EXPECT_EQ(resolved_by_run(std::nullopt), simd::best_extension());
+  // An explicit extension request is never overridden.
+  for (Extension extension : available_extensions()) {
+    EXPECT_EQ(resolved_by_run(extension), extension);
   }
 }
 

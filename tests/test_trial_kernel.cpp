@@ -5,13 +5,17 @@
 // bytes for every block size, lane width, window, event chunk, and sink.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <random>
 #include <set>
 #include <vector>
 
+#include "core/sparse_layer.hpp"
 #include "core/trial_kernel.hpp"
 #include "elt/synthetic.hpp"
 #include "financial/trial_accumulator.hpp"
+#include "shard/sharded_ylt.hpp"
 #include "yet/generator.hpp"
 
 namespace {
@@ -273,6 +277,235 @@ TEST(TrialKernel, RejectsAmbiguousDestination) {
                std::invalid_argument);
   EXPECT_THROW(core::run_trial_kernel(portfolio, yet_table, {}, {}, &ylt, &sink),
                std::invalid_argument);
+}
+
+// --- Sparse layer path (memory-bound direct layers) ---------------------------
+//
+// Layers whose dense direct tables total more than kWideLaneFootprintBytes
+// run from a core::SparseLayerTable. Its independent oracles: the naive
+// reference above (YLT bytes), the same ELTs as robin-hood tables, which
+// take the generic lookup_many path, and reference_ground_up below
+// (combined pre-occurrence losses, signed zeros included).
+
+constexpr std::size_t kWideUniverse = 700'000;  // YET ids; past every ELT universe below
+constexpr elt::EventId kInEveryElt[] = {3, 63, 64, 127, 128, 299'999};
+constexpr elt::EventId kZeroLoss = 11;  // a 0.0-loss record in every ELT
+
+/// Synthetic losses over [0, universe) plus records for kInEveryElt (above
+/// every retention below) and kZeroLoss.
+elt::EventLossTable memory_bound_elt(std::size_t universe, std::uint64_t elt_id) {
+  elt::SyntheticEltConfig config;
+  config.catalog_size = universe;
+  config.entries = 20'000;
+  config.elt_id = elt_id;
+  const elt::EventLossTable synthetic = elt::make_synthetic_elt(config);
+  std::vector<elt::EventLoss> records;
+  for (const elt::EventLoss& record : synthetic.records()) {
+    if (record.event != kZeroLoss && std::ranges::find(kInEveryElt, record.event) ==
+                                         std::end(kInEveryElt)) {
+      records.push_back(record);
+    }
+  }
+  for (const elt::EventId event : kInEveryElt) {
+    records.push_back({event, 4e5 + 1e3 * static_cast<double>(elt_id)});
+  }
+  records.push_back({kZeroLoss, 0.0});
+  return elt::EventLossTable(std::move(records));
+}
+
+/// Two memory-bound layers:
+///  1. three ELTs with universes 600k / 400k / 300k (10.4 MB dense): zero
+///     retention with share < 1 and a currency rate != 1, a plain ELT, and
+///     a -0.0 occurrence limit;
+///  2. two ELTs over 500k (8 MB dense), both with a -0.0 occurrence limit,
+///     so every combined loss is a zero whose sign depends on the fold.
+Portfolio memory_bound_portfolio(elt::LookupKind kind) {
+  const auto add_elt = [&](core::Layer& layer, std::size_t universe, std::uint64_t elt_id,
+                           financial::FinancialTerms terms) {
+    layer.elts.push_back({elt::make_lookup(kind, memory_bound_elt(universe, elt_id), universe),
+                          terms});
+  };
+  Portfolio portfolio;
+  core::Layer first;
+  first.id = 1;
+  first.terms = {.occurrence_retention = 5e4,
+                 .occurrence_limit = 2e6,
+                 .aggregate_retention = 1e5,
+                 .aggregate_limit = 1e7};
+  add_elt(first, 600'000, 1, {.occurrence_retention = 0.0, .share = 0.85, .currency_rate = 1.25});
+  add_elt(first, 400'000, 2, {.occurrence_retention = 2e4, .occurrence_limit = 4e5});
+  add_elt(first, 300'000, 3, {.occurrence_retention = 1e4, .occurrence_limit = -0.0});
+  portfolio.layers.push_back(std::move(first));
+  core::Layer second;
+  second.id = 2;
+  add_elt(second, 500'000, 4,
+          {.occurrence_retention = 1e3, .occurrence_limit = -0.0, .share = 0.5});
+  add_elt(second, 500'000, 5, {.occurrence_retention = 1e3, .occurrence_limit = -0.0});
+  portfolio.layers.push_back(std::move(second));
+  return portfolio;
+}
+
+/// Ragged trials (some empty) over [0, kWideUniverse); a quarter of the
+/// occurrences hit the fixed ids, universe edges and ids past every universe.
+yet::YearEventTable memory_bound_yet() {
+  std::vector<elt::EventId> hot(std::begin(kInEveryElt), std::end(kInEveryElt));
+  hot.insert(hot.end(), {kZeroLoss, 299'998, 300'000, 399'999, 400'000, 499'999, 500'000,
+                         599'999, 600'000, 699'999});
+  std::mt19937_64 rng(14);
+  std::vector<elt::EventId> events;
+  std::vector<float> times;
+  std::vector<std::uint64_t> offsets{0};
+  for (std::size_t trial = 0; trial < 311; ++trial) {
+    const std::size_t length = rng() % 61;
+    for (std::size_t k = 0; k < length; ++k) {
+      events.push_back(rng() % 4 == 0 ? hot[rng() % hot.size()]
+                                      : static_cast<elt::EventId>(rng() % kWideUniverse));
+      times.push_back(static_cast<float>(rng() % 1000) / 1000.0f);
+    }
+    std::sort(times.end() - static_cast<std::ptrdiff_t>(length), times.end());
+    offsets.push_back(events.size());
+  }
+  return yet::YearEventTable(std::move(events), std::move(times), std::move(offsets));
+}
+
+/// The dense fold of the combine step, transcribed: per occurrence, the
+/// first ELT's term, then every later ELT's added in layer order — scalar
+/// FinancialTerms::apply over the virtual lookup.
+core::GroundUpLossCache reference_ground_up(const Portfolio& portfolio,
+                                            const yet::YearEventTable& yet_table) {
+  core::GroundUpLossCache cache(portfolio.layers.size(), yet_table.total_events());
+  const auto events = yet_table.events();
+  for (std::size_t layer_index = 0; layer_index < portfolio.layers.size(); ++layer_index) {
+    const std::vector<core::LayerElt>& elts = portfolio.layers[layer_index].elts;
+    double* out = cache.layer_values(layer_index);
+    for (std::size_t k = 0; k < events.size(); ++k) {
+      double sum = elts[0].terms.apply(elts[0].lookup->lookup(events[k]));
+      for (std::size_t e = 1; e < elts.size(); ++e) {
+        sum += elts[e].terms.apply(elts[e].lookup->lookup(events[k]));
+      }
+      out[k] = sum;
+    }
+  }
+  return cache;
+}
+
+void expect_same_layer_bytes(const core::GroundUpLossCache& a, const core::GroundUpLossCache& b,
+                             std::size_t layer_index) {
+  ASSERT_EQ(a.total_events(), b.total_events());
+  EXPECT_EQ(0, std::memcmp(a.layer_values(layer_index), b.layer_values(layer_index),
+                           static_cast<std::size_t>(a.total_events()) * sizeof(double)))
+      << "ground-up layer index " << layer_index;
+}
+
+std::vector<simd::Extension> runnable_extensions() {
+  std::vector<simd::Extension> extensions;
+  for (const simd::Extension extension :
+       {simd::Extension::kScalar, simd::Extension::kSse2, simd::Extension::kAvx2,
+        simd::Extension::kAvx512, simd::Extension::kNeon}) {
+    if (simd::mask_has(simd::runnable_extensions(), extension)) extensions.push_back(extension);
+  }
+  return extensions;
+}
+
+/// The shared inputs, built once (~18 MB of dense direct tables).
+struct MemoryBoundInputs {
+  Portfolio direct = memory_bound_portfolio(elt::LookupKind::kDirectAccess);
+  Portfolio robin_hood = memory_bound_portfolio(elt::LookupKind::kRobinHood);
+  yet::YearEventTable yet_table = memory_bound_yet();
+};
+
+const MemoryBoundInputs& memory_bound() {
+  static const MemoryBoundInputs inputs;
+  return inputs;
+}
+
+TEST(SparseLayerPath, TakenOnlyByMemoryBoundAllDirectLayers) {
+  const MemoryBoundInputs& in = memory_bound();
+  for (const core::Layer& layer : in.direct.layers) {
+    EXPECT_TRUE(core::SparseLayerTable::wanted(layer)) << "layer " << layer.id;
+  }
+  for (const core::Layer& layer : in.robin_hood.layers) {
+    EXPECT_FALSE(core::SparseLayerTable::wanted(layer)) << "layer " << layer.id;
+  }
+  for (const core::Layer& layer : synthetic_portfolio(1, 3).layers) {
+    EXPECT_FALSE(core::SparseLayerTable::wanted(layer));  // 480 KB: dense gathers
+  }
+}
+
+TEST(SparseLayerPath, BitIdenticalToOraclesOnEveryExtensionAndSchedule) {
+  const MemoryBoundInputs& in = memory_bound();
+  const auto reference = reference_ylt(in.direct, in.yet_table);
+  const auto ground_up = reference_ground_up(in.direct, in.yet_table);
+  for (const simd::Extension extension : runnable_extensions()) {
+    for (const KernelLaunch::Schedule schedule :
+         {KernelLaunch::Schedule::kSerial, KernelLaunch::Schedule::kPool}) {
+      SCOPED_TRACE(std::string(core::to_string(extension)) +
+                   (schedule == KernelLaunch::Schedule::kPool ? " pool" : " serial"));
+      TrialKernelConfig config;
+      config.extension = extension;
+      config.block_trials = 37;
+      const KernelLaunch launch{.schedule = schedule, .num_threads = 3, .chunk = 50};
+      core::GroundUpLossCache sparse(2, in.yet_table.total_events());
+      core::GroundUpLossCache generic(2, in.yet_table.total_events());
+      config.ground_up_capture = &sparse;
+      expect_identical(reference, run_kernel(in.direct, in.yet_table, config, launch));
+      config.ground_up_capture = &generic;
+      expect_identical(reference, run_kernel(in.robin_hood, in.yet_table, config, launch));
+      expect_same_layer_bytes(ground_up, sparse, 0);
+      expect_same_layer_bytes(ground_up, sparse, 1);
+      // The lookup_many path agrees on the first layer too. Not on the
+      // second: its vector lanes turn an absent event of a -0.0-limit ELT
+      // into -0.0 where the scalar FinancialTerms::apply gives +0.0. The
+      // YLT bytes agree regardless: occurrence terms map both to +0.0.
+      expect_same_layer_bytes(generic, sparse, 0);
+    }
+  }
+}
+
+TEST(SparseLayerPath, WindowEventChunksAndShardedSinkKeepTheBytes) {
+  const MemoryBoundInputs& in = memory_bound();
+  const CoverageWindow window{0.2f, 0.7f};
+  const auto windowed = reference_ylt(in.direct, in.yet_table, &window);
+  for (const std::size_t chunk : {std::size_t{0}, std::size_t{1}, std::size_t{13}}) {
+    SCOPED_TRACE(chunk);
+    TrialKernelConfig config;
+    config.extension = simd::best_extension();
+    config.window = window;
+    config.event_chunk = chunk;
+    const KernelLaunch launch{.schedule = KernelLaunch::Schedule::kPool, .num_threads = 3};
+    expect_identical(windowed, run_kernel(in.direct, in.yet_table, config, launch));
+
+    // A sharded sink under a 1 KB budget: shards spill and fault back.
+    shard::ShardedYearLossTable sharded({1, 2}, in.yet_table.num_trials(), /*shard_trials=*/32,
+                                        {.memory_budget_bytes = 1024});
+    shard::ShardedYltSink sink(sharded);
+    core::run_trial_kernel(in.direct, in.yet_table, config, launch, nullptr, &sink);
+    expect_identical(windowed, sharded.materialize());
+    EXPECT_GT(sharded.stats().spills, 0u);
+  }
+}
+
+TEST(SparseLayerPath, CaptureThenReplayEqualsAColdRun) {
+  const MemoryBoundInputs& in = memory_bound();
+  TrialKernelConfig config;
+  config.extension = simd::best_extension();
+  const KernelLaunch launch{.schedule = KernelLaunch::Schedule::kPool, .num_threads = 3};
+  core::GroundUpLossCache capture(2, in.yet_table.total_events());
+  config.ground_up_capture = &capture;
+  const auto cold = run_kernel(in.direct, in.yet_table, config, launch);
+  const auto ground_up = reference_ground_up(in.direct, in.yet_table);
+  expect_same_layer_bytes(ground_up, capture, 0);
+  expect_same_layer_bytes(ground_up, capture, 1);
+
+  config.ground_up_capture = nullptr;
+  config.ground_up_replay = &capture;
+  expect_identical(cold, run_kernel(in.direct, in.yet_table, config, launch));
+  // New layer terms replay from the same ground-up losses.
+  Portfolio retermed = in.direct;
+  retermed.layers[0].terms = financial::LayerTerms::cat_xl(1e5, 5e5);
+  retermed.layers[1].terms = financial::LayerTerms::aggregate_xl(0.0, -0.0);
+  expect_identical(reference_ylt(retermed, in.yet_table),
+                   run_kernel(retermed, in.yet_table, config, launch));
 }
 
 }  // namespace

@@ -346,7 +346,7 @@ void report_execution(const core::InstrumentationSink& sink) {
     std::cerr << "note: kernel executed extension '"
               << core::to_string(*sink.simd_extension_used) << "'";
     // The runtime dispatch rationale: explicit request, ARE_SIMD_EXT
-    // override, the cpuid / compiled-in cap, or the cache-regime narrowing.
+    // override, or the cpuid / compiled-in cap.
     if (sink.simd_resolution_note && !sink.simd_resolution_note->empty()) {
       std::cerr << " (" << *sink.simd_resolution_note << ")";
     }

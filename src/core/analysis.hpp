@@ -253,10 +253,10 @@ struct AnalysisConfig {
 
   /// Delta execution (core/trial_kernel.hpp GroundUpLossCache; the resident
   /// service's fast path — see src/service/). Capture: this run additionally
-  /// records its combined pre-occurrence-terms losses into the cache (shape
-  /// must be portfolio layers x YET total events). Replay: this run skips
-  /// the fetch/lookup/financial phases and reads the combined losses from
-  /// the cache — valid only when the portfolio's ELT sets and per-ELT
+  /// records its combined pre-occurrence-terms losses into the cache (an
+  /// unsealed cache shaped for the portfolio's layers and the YET; the run
+  /// seals it). Replay: this run skips the fetch/lookup/financial phases
+  /// and folds the sealed cache's losses instead — valid only when the portfolio's ELT sets and per-ELT
   /// FinancialTerms are unchanged since capture (LayerTerms and the window
   /// may differ), bit-identical to a cold run by construction. Any engine
   /// accepts either pointer (they parameterize the shared kernel); setting

@@ -34,13 +34,19 @@ struct LayerTermsV {
   }
 };
 
-/// Vector excess_of_loss: min(max(x - retention, 0), limit). Identical
-/// rounding to the scalar branchy form for the engine's domain (finite
-/// non-negative losses, +inf limits) — see the contract note in vec.hpp.
+/// Vector excess_of_loss, equal to the scalar form for every valid input:
+/// +0.0 where x - retention <= 0, else min(x - retention, limit). The limit
+/// is min's FIRST operand on purpose. With the MINPD convention (second
+/// operand on equality, see vec.hpp), min(limit, +0.0) is +0.0 for a -0.0
+/// limit, where min(+0.0, limit) would give -0.0 for a loss at or below
+/// the retention. For a positive excess the two orders differ only when
+/// excess == limit, where both give the same bits. Identical rounding to the
+/// scalar branchy form for the engine's domain (finite non-negative
+/// losses, limits >= 0 or +inf).
 template <typename V>
 typename V::reg excess_v(typename V::reg x, typename V::reg retention,
                          typename V::reg limit) noexcept {
-  return V::min(V::max(V::sub(x, retention), V::zero()), limit);
+  return V::min(limit, V::max(V::sub(x, retention), V::zero()));
 }
 
 /// FinancialTerms::apply on a register of raw event losses.

@@ -1,6 +1,7 @@
 #include "core/trial_kernel.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <exception>
 #include <mutex>
 #include <optional>
@@ -28,6 +29,10 @@ bool openmp_available() noexcept {
 }
 
 namespace {
+
+/// Bitmap words of a trial with `events` occurrences: each trial starts a
+/// new 64-bit word of the ground-up cache.
+constexpr std::uint64_t words_for(std::uint64_t events) noexcept { return (events + 63) / 64; }
 
 /// The runtime dispatch table behind kernel construction. The scalar
 /// instantiation lives in THIS translation unit (compiled with the default
@@ -85,21 +90,41 @@ TrialBlockKernel::TrialBlockKernel(const Portfolio& portfolio,
         "trial kernel: ground_up_capture and ground_up_replay are mutually exclusive");
   }
   const auto check_cache_shape = [&](const GroundUpLossCache& cache, const char* which) {
-    if (cache.num_layers() != portfolio.layers.size() ||
-        cache.total_events() != yet_table.total_events()) {
+    // Same layer count, trial count, event count, and per-trial word layout
+    // (the bitmap words each trial's event count implies).
+    bool matches = cache.num_layers() == portfolio.layers.size() &&
+                   cache.num_trials() == yet_table.num_trials() &&
+                   cache.total_events() == yet_table.total_events();
+    const std::span<const std::uint64_t> offsets = yet_table.offsets();
+    const std::span<const std::uint64_t> word_starts = cache.word_starts();
+    for (std::size_t trial = 0; matches && trial < yet_table.num_trials(); ++trial) {
+      matches = word_starts[trial + 1] - word_starts[trial] ==
+                words_for(offsets[trial + 1] - offsets[trial]);
+    }
+    if (!matches) {
       throw std::invalid_argument(
           std::string("trial kernel: ") + which + " cache shape (" +
           std::to_string(cache.num_layers()) + " layers x " +
+          std::to_string(cache.num_trials()) + " trials, " +
           std::to_string(cache.total_events()) + " events) does not match the run (" +
           std::to_string(portfolio.layers.size()) + " layers x " +
+          std::to_string(yet_table.num_trials()) + " trials, " +
           std::to_string(yet_table.total_events()) + " events)");
     }
   };
   if (config.ground_up_capture != nullptr) {
     check_cache_shape(*config.ground_up_capture, "ground-up capture");
+    if (config.ground_up_capture->sealed()) {
+      throw std::invalid_argument("trial kernel: ground-up capture cache is already sealed");
+    }
   }
   if (config.ground_up_replay != nullptr) {
     check_cache_shape(*config.ground_up_replay, "ground-up replay");
+    if (!config.ground_up_replay->sealed()) {
+      throw std::invalid_argument(
+          "trial kernel: ground-up replay cache is not sealed (its capture did not cover "
+          "every trial)");
+    }
   }
   // The extension is checked against the RUNTIME capability (cpuid ∩
   // compiled-in) before any wide factory runs — an unrunnable extension
@@ -143,6 +168,119 @@ void TrialBlockKernel::collect(const TrialKernelScratch& scratch, PhaseBreakdown
   }
 }
 
+// --- GroundUpLossCache ---------------------------------------------------------
+
+GroundUpLossCache::GroundUpLossCache(std::size_t num_layers,
+                                     const yet::YearEventTable& yet_table)
+    : total_events_(yet_table.total_events()),
+      layers_(num_layers),
+      segments_(num_layers) {
+  const std::span<const std::uint64_t> offsets = yet_table.offsets();
+  word_starts_.reserve(yet_table.num_trials() + 1);
+  word_starts_.push_back(0);
+  for (std::size_t trial = 0; trial < yet_table.num_trials(); ++trial) {
+    word_starts_.push_back(word_starts_.back() + words_for(offsets[trial + 1] - offsets[trial]));
+  }
+}
+
+void GroundUpLossCache::add_segment(std::size_t layer_index, std::uint64_t first,
+                                    std::uint64_t last, std::span<const std::uint64_t> words,
+                                    std::span<const double> values) {
+  if (layer_index >= layers_.size() || first >= last || last > num_trials() ||
+      words.size() != word_starts_[last] - word_starts_[first]) {
+    throw std::invalid_argument("ground-up cache: segment does not fit the cache shape");
+  }
+  Segment segment{first, last, {words.begin(), words.end()}, {values.begin(), values.end()}};
+  std::lock_guard<std::mutex> guard(mutex_);
+  if (sealed_) throw std::invalid_argument("ground-up cache: segment added to a sealed cache");
+  segments_[layer_index].push_back(std::move(segment));
+}
+
+bool GroundUpLossCache::seal() {
+  std::lock_guard<std::mutex> guard(mutex_);
+  if (sealed_) return true;
+  const std::uint64_t trials = num_trials();
+  const auto by_first = [](const Segment& a, const Segment& b) { return a.first < b.first; };
+  for (std::vector<Segment>& segments : segments_) {
+    std::sort(segments.begin(), segments.end(), by_first);
+    std::uint64_t next = 0;
+    for (const Segment& segment : segments) {
+      if (segment.first != next) return false;
+      next = segment.last;
+    }
+    if (next != trials) return false;
+  }
+
+  std::vector<SealedLayer> sealed(layers_.size());
+  for (std::size_t layer_index = 0; layer_index < sealed.size(); ++layer_index) {
+    const std::vector<Segment>& segments = segments_[layer_index];
+    SealedLayer& layer = sealed[layer_index];
+    std::size_t num_values = 0;
+    for (const Segment& segment : segments) num_values += segment.values.size();
+    layer.words.reserve(word_starts_.back());
+    layer.values.reserve(num_values);
+    for (const Segment& segment : segments) {
+      layer.words.insert(layer.words.end(), segment.words.begin(), segment.words.end());
+      layer.values.insert(layer.values.end(), segment.values.begin(), segment.values.end());
+    }
+    layer.value_starts.reserve(trials + 1);
+    layer.value_starts.push_back(0);
+    for (std::uint64_t trial = 0; trial < trials; ++trial) {
+      std::uint64_t present = 0;
+      for (std::uint64_t w = word_starts_[trial]; w < word_starts_[trial + 1]; ++w) {
+        present += static_cast<std::uint64_t>(std::popcount(layer.words[w]));
+      }
+      layer.value_starts.push_back(layer.value_starts.back() + present);
+    }
+    if (layer.value_starts.back() != layer.values.size()) return false;
+  }
+  layers_ = std::move(sealed);
+  segments_.assign(layers_.size(), {});
+  sealed_ = true;
+  return true;
+}
+
+GroundUpLossCache::LayerView GroundUpLossCache::layer(std::size_t layer_index) const {
+  if (!sealed_) throw std::logic_error("ground-up cache: not sealed");
+  const SealedLayer& layer = layers_.at(layer_index);
+  return {layer.words, layer.value_starts, layer.values};
+}
+
+std::uint64_t GroundUpLossCache::entries() const noexcept {
+  std::uint64_t total = 0;
+  for (const SealedLayer& layer : layers_) total += layer.values.size();
+  return total;
+}
+
+std::size_t GroundUpLossCache::memory_bytes() const noexcept {
+  std::lock_guard<std::mutex> guard(mutex_);
+  std::size_t bytes = word_starts_.size() * sizeof(std::uint64_t);
+  for (const SealedLayer& layer : layers_) {
+    bytes += (layer.words.size() + layer.value_starts.size()) * sizeof(std::uint64_t) +
+             layer.values.size() * sizeof(double);
+  }
+  for (const std::vector<Segment>& segments : segments_) {
+    for (const Segment& segment : segments) {
+      bytes += segment.words.size() * sizeof(std::uint64_t) +
+               segment.values.size() * sizeof(double);
+    }
+  }
+  return bytes;
+}
+
+std::size_t GroundUpLossCache::estimate_bytes(std::size_t num_layers,
+                                              const yet::YearEventTable& yet_table) noexcept {
+  const std::span<const std::uint64_t> offsets = yet_table.offsets();
+  std::uint64_t words = 0;
+  for (std::size_t trial = 0; trial < yet_table.num_trials(); ++trial) {
+    words += words_for(offsets[trial + 1] - offsets[trial]);
+  }
+  const std::size_t starts = (yet_table.num_trials() + 1) * sizeof(std::uint64_t);
+  const std::size_t per_layer = starts + static_cast<std::size_t>(words) * sizeof(std::uint64_t) +
+                                static_cast<std::size_t>(yet_table.total_events()) * sizeof(double);
+  return starts + num_layers * per_layer;
+}
+
 // --- The driver entry point ---------------------------------------------------
 
 void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
@@ -161,7 +299,10 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
   if (phases != nullptr) *phases = {};
   if (accesses != nullptr) *accesses = {};
   const std::uint64_t num_trials = yet_table.num_trials();
-  if (num_trials == 0) return;
+  if (num_trials == 0) {
+    if (config.ground_up_capture != nullptr) config.ground_up_capture->seal();
+    return;
+  }
 
   obs::Span launch_span("kernel.launch", "kernel");
   if (obs::enabled()) {
@@ -265,6 +406,10 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
       break;
     }
   }
+
+  // Every block has run (a failed launch rethrew above and leaves the
+  // capture unsealed): concatenate the capture's segments in trial order.
+  if (config.ground_up_capture != nullptr) config.ground_up_capture->seal();
 
   // Feed the collected per-phase wall times into the telemetry registry so
   // an instrumented run's Fig-6b attribution is visible to exporters and

@@ -29,8 +29,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <span>
 #include <string_view>
+#include <vector>
 
 #include "core/cancel.hpp"
 #include "core/coverage_window.hpp"
@@ -55,49 +58,114 @@ bool openmp_available() noexcept;
 /// the kernel produces after the ELT lookups and per-ELT financial terms
 /// have been folded across a layer's ELTs, but BEFORE the layer's
 /// occurrence terms touch the buffer. This is the delta-execution cache of
-/// the resident service (src/service/): the buffer depends on the YET and
+/// the resident service (src/service/): the values depend on the YET and
 /// the layers' ELT sets + FinancialTerms, but not on LayerTerms or on the
 /// coverage window (windows only filter inside the aggregate recurrence).
 /// A request that differs from a captured run only in layer terms or
 /// window can therefore skip the fetch + lookup + financial phases — ~78%
 /// of runtime per Fig 6b — and replay the cached values through occurrence
-/// terms + aggregation, bit-identical to a full run by construction
-/// (capture copies the very doubles the full run computes).
+/// terms + aggregation, bit-identical to a full run (capture keeps the very
+/// doubles the full run computes).
 ///
-/// Layout: layer-major, one double per YET event occurrence
-/// (num_layers x total_events). Capture writes disjoint event ranges from
-/// concurrent workers; replay is read-only, so one cache can serve many
-/// concurrent replays.
+/// Layout: sparse, indexed by trial. Most occurrences of a book miss every
+/// ELT of a layer, so most combined losses are +0.0; only the others are
+/// kept. Per layer:
+///   - a presence bitmap in which every trial's bits start on a new 64-bit
+///     word (word_starts(), shared by all layers: trial t owns words
+///     [word_starts[t], word_starts[t+1]), bit k = the trial's k-th event);
+///   - value_starts: trial t's first entry in the packed values;
+///   - values: every captured loss whose bit pattern is not +0.0, in event
+///     order. A -0.0 is kept, so densifying the cache gives back the exact
+///     bytes the kernel computed.
+///
+/// Sealing: capture runs block by block. Each block hands the cache one
+/// segment per layer (add_segment: the block's bitmap words and packed
+/// values), concurrently from any worker; run_trial_kernel seals the cache
+/// after every block has run, concatenating the segments in trial order.
+/// A cache whose segments do not tile [0, num_trials) stays unsealed, and
+/// the kernel refuses to replay an unsealed cache (std::invalid_argument).
+/// A sealed cache is immutable, so one cache serves many concurrent replays.
+///
+/// Why replay may skip the +0.0 entries exactly: for valid LayerTerms the
+/// occurrence loss of a +/-0.0 ground-up loss is +0.0 (excess_of_loss
+/// returns +0.0 whenever loss - retention <= 0, and the vector excess_v in
+/// core/simd_terms.hpp is that form exactly). TrialAccumulator's
+/// cumulative and trial losses start at +0.0 and only ever add values >= 0,
+/// so neither can hold -0.0, and adding a +/-0.0 leaves both unchanged. The
+/// capped cumulative is then the one the previous occurrence produced (or
+/// +0.0 before the first), so the increment is capped - capped = +0.0 and
+/// the trial loss keeps its bits. Folding only the present entries
+/// therefore gives the bytes a fold over every occurrence gives.
 class GroundUpLossCache {
  public:
-  GroundUpLossCache(std::size_t num_layers, std::uint64_t total_events)
-      : num_layers_(num_layers),
-        total_events_(total_events),
-        values_(num_layers * static_cast<std::size_t>(total_events), 0.0) {}
+  /// One sealed layer, read-only.
+  struct LayerView {
+    std::span<const std::uint64_t> words;         ///< presence bitmap
+    std::span<const std::uint64_t> value_starts;  ///< num_trials + 1 entries
+    std::span<const double> values;               ///< the packed losses
+  };
 
-  std::size_t num_layers() const noexcept { return num_layers_; }
+  /// An empty, unsealed cache shaped for `num_layers` layers over `yet_table`.
+  GroundUpLossCache(std::size_t num_layers, const yet::YearEventTable& yet_table);
+
+  std::size_t num_layers() const noexcept { return layers_.size(); }
+  std::uint64_t num_trials() const noexcept { return word_starts_.size() - 1; }
   std::uint64_t total_events() const noexcept { return total_events_; }
 
-  double* layer_values(std::size_t layer_index) noexcept {
-    return values_.data() + layer_index * static_cast<std::size_t>(total_events_);
-  }
-  const double* layer_values(std::size_t layer_index) const noexcept {
-    return values_.data() + layer_index * static_cast<std::size_t>(total_events_);
-  }
+  /// Trial t's bitmap words are [word_starts()[t], word_starts()[t + 1]) in
+  /// every layer (num_trials + 1 entries).
+  std::span<const std::uint64_t> word_starts() const noexcept { return word_starts_; }
 
-  std::size_t memory_bytes() const noexcept { return values_.size() * sizeof(double); }
+  /// Capture: block [first, last)'s segment of one layer — the trials'
+  /// bitmap words (word_starts[last] - word_starts[first] of them) and the
+  /// packed losses their set bits describe. Thread-safe. Throws
+  /// std::invalid_argument on a sealed cache or an out-of-shape segment.
+  void add_segment(std::size_t layer_index, std::uint64_t first, std::uint64_t last,
+                   std::span<const std::uint64_t> words, std::span<const double> values);
 
-  /// What a capture for this shape would cost — the admission-side check
-  /// before allocating (layers x events x 8 B).
+  /// Concatenates the segments in trial order and drops them. Returns
+  /// sealed(): false (the segments kept as they were) unless every layer's
+  /// segments tile [0, num_trials) exactly with consistent value counts.
+  bool seal();
+  bool sealed() const noexcept { return sealed_; }
+
+  /// A sealed layer. Throws std::logic_error on an unsealed cache.
+  LayerView layer(std::size_t layer_index) const;
+
+  /// Present entries across every sealed layer (losses that are not +0.0).
+  std::uint64_t entries() const noexcept;
+
+  /// Bytes held: the word starts, the sealed layers, and any segments not
+  /// yet sealed. The `service.ground_up_bytes` gauge reports this for
+  /// published (sealed) caches.
+  std::size_t memory_bytes() const noexcept;
+
+  /// Upper bound on memory_bytes() of any sealed cache of this shape — the
+  /// admission-side check before a capture runs: per layer 8 B per event,
+  /// 1 bit per event rounded up to whole words per trial, and the
+  /// per-trial value starts; plus the shared per-trial word starts.
   static std::size_t estimate_bytes(std::size_t num_layers,
-                                    std::uint64_t total_events) noexcept {
-    return num_layers * static_cast<std::size_t>(total_events) * sizeof(double);
-  }
+                                    const yet::YearEventTable& yet_table) noexcept;
 
  private:
-  std::size_t num_layers_ = 0;
+  struct Segment {
+    std::uint64_t first = 0;
+    std::uint64_t last = 0;
+    std::vector<std::uint64_t> words;
+    std::vector<double> values;
+  };
+  struct SealedLayer {
+    std::vector<std::uint64_t> words;
+    std::vector<std::uint64_t> value_starts;
+    std::vector<double> values;
+  };
+
   std::uint64_t total_events_ = 0;
-  std::vector<double> values_;
+  std::vector<std::uint64_t> word_starts_;
+  std::vector<SealedLayer> layers_;
+  mutable std::mutex mutex_;                    // guards segments_ during capture
+  std::vector<std::vector<Segment>> segments_;  // per layer, unsealed
+  bool sealed_ = false;
 };
 
 /// What the kernel computes per block — the cross-cutting knobs every
@@ -128,20 +196,21 @@ struct TrialKernelConfig {
   /// sweeps, and the paper's access counts accumulated per scratch.
   bool instrument = false;
 
-  /// Capture: every block additionally copies its combined per-event losses
-  /// (post-financial-terms, pre-occurrence-terms) into this cache. Workers
-  /// write disjoint event ranges of the pre-sized buffer, so concurrent
-  /// blocks are safe. The cache shape must match the run
-  /// (portfolio layers x YET total events); the kernel constructor throws
-  /// otherwise. Never changes the output bytes.
+  /// Capture: every block additionally hands this cache its combined
+  /// per-event losses (post-financial-terms, pre-occurrence-terms) as one
+  /// sparse segment per layer; run_trial_kernel seals the cache once every
+  /// block has run. The cache must be unsealed and shaped for the run
+  /// (portfolio layers x the YET's trials and events); the kernel
+  /// constructor throws otherwise. Never changes the output bytes.
   GroundUpLossCache* ground_up_capture = nullptr;
 
   /// Replay (delta execution): skip the fetch/lookup/financial phases and
-  /// read each layer's combined losses from this cache instead, then run
-  /// occurrence terms + aggregation as usual. Produces exactly the bytes a
-  /// full run with the same layer terms and window would — and performs
-  /// zero ELT lookups (`elt.*.lookups` and `kernel.phase.lookup_ns` stay 0).
-  /// Mutually exclusive with ground_up_capture; shape-checked like it.
+  /// fold each trial's present cached losses through occurrence terms +
+  /// aggregation instead. Produces exactly the bytes a full run with the
+  /// same layer terms and window would — and performs zero ELT lookups
+  /// (`elt.*.lookups` and `kernel.phase.lookup_ns` stay 0). Mutually
+  /// exclusive with ground_up_capture; the cache must be sealed and
+  /// shape-checked like it.
   const GroundUpLossCache* ground_up_replay = nullptr;
 
   /// Cooperative cancellation: every run_range checks the token once per
@@ -165,6 +234,8 @@ struct TrialKernelScratch {
   std::vector<double> block_losses;         // sink mode: layers x block trials, emitted per block
   std::vector<yet::EventId> staged_events;  // instrumented mode: the block's staged YET slice
   std::vector<float> staged_times;
+  std::vector<std::uint64_t> capture_words;  // capture: one layer's bitmap words for the block
+  std::vector<double> capture_values;        // capture: one layer's packed losses for the block
   PhaseBreakdown phases;    // instrumented mode: this worker's share
   AccessCounts accesses;    // instrumented mode: this worker's share
 };

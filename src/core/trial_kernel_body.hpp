@@ -16,6 +16,7 @@
 // (see trial_kernel.cpp's dispatch table).
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -74,6 +75,7 @@ struct LayerPlan {
   std::vector<detail::EltTermsV<V>> elt_terms;
   detail::LayerTermsV<V> terms;
   std::span<double> losses;
+  GroundUpLossCache::LayerView replay;  // delta execution: this layer's cached losses
 };
 
 /// Combined ELT loss per event over the staged span, direct-table fast
@@ -192,6 +194,87 @@ inline void aggregate_trials(const financial::LayerTerms& terms, const double* c
   }
 }
 
+/// Ground-up capture of the combined chunk [c0, c0 + n) of the block that
+/// starts at trial t0: sets the presence bit of every loss whose bits are
+/// not +0.0 (a -0.0 is kept) and appends the loss to `values`, in event
+/// order. `words` is the block's zeroed bitmap segment (trial t's bits at
+/// words[word_starts[t] - word_starts[t0]]); `trial` is the cursor the
+/// block's chunks share, starting at t0.
+inline void capture_chunk(const double* combined, std::size_t c0, std::size_t n,
+                          std::span<const std::uint64_t> offsets,
+                          std::span<const std::uint64_t> word_starts, std::uint64_t t0,
+                          std::uint64_t& trial, std::uint64_t* words,
+                          std::vector<double>& values) {
+  const std::uint64_t ev0 = offsets[t0];
+  const std::size_t end = c0 + n;
+  for (std::size_t pos = c0; pos < end;) {
+    while (offsets[trial + 1] - ev0 <= pos) ++trial;  // steps over empty trials
+    const std::size_t begin = static_cast<std::size_t>(offsets[trial] - ev0);
+    const std::size_t stop = std::min<std::size_t>(end, offsets[trial + 1] - ev0);
+    const double* trial_losses = combined + begin;
+    std::uint64_t* trial_words = words + (word_starts[trial] - word_starts[t0]);
+    for (std::size_t k = pos - begin; k < stop - begin;) {
+      const std::size_t word_end = std::min(stop - begin, (k | 63) + 1);
+      std::uint64_t present = 0;
+      for (std::size_t j = k; j < word_end; ++j) {
+        present |= static_cast<std::uint64_t>(std::bit_cast<std::uint64_t>(trial_losses[j]) != 0)
+                   << (j & 63);
+      }
+      trial_words[k / 64] |= present;
+      const double* word_losses = trial_losses + (k & ~std::size_t{63});
+      for (; present != 0; present &= present - 1) {
+        values.push_back(word_losses[std::countr_zero(present)]);
+      }
+      k = word_end;
+    }
+    pos = stop;
+  }
+}
+
+/// Delta replay of one layer over trials [t0, t1). The block's present
+/// cached losses (one contiguous run of the packed values) go through the
+/// occurrence terms, vectorized into `occurrence`; then each trial feeds
+/// its share to the aggregate recurrence in event order — all of it, or
+/// with a window only the entries whose occurrence time the window covers
+/// (set bit k = the trial's k-th event; `times` is the whole YET's). The
+/// trial loss lands in row[trial - t0]. Bit-identical to aggregate_trials
+/// over the dense losses (GroundUpLossCache's header has the argument).
+/// Returns the entries folded.
+template <typename V>
+std::uint64_t replay_trials(const LayerPlan<V>& plan, std::span<const std::uint64_t> word_starts,
+                            const float* times, const CoverageWindow* window,
+                            std::span<const std::uint64_t> offsets, std::uint64_t t0,
+                            std::uint64_t t1, std::vector<double>& occurrence, double* row) {
+  const GroundUpLossCache::LayerView& cache = plan.replay;
+  const std::uint64_t v0 = cache.value_starts[t0];
+  const auto first = cache.values.begin() + static_cast<std::ptrdiff_t>(v0);
+  occurrence.assign(first, first + static_cast<std::ptrdiff_t>(cache.value_starts[t1] - v0));
+  apply_occurrence_terms<V>(plan, occurrence.data(), occurrence.size());
+
+  std::uint64_t folded = 0;
+  const double* loss = occurrence.data();
+  for (std::uint64_t trial = t0; trial < t1; ++trial) {
+    financial::TrialAccumulator accumulator(plan.layer->terms);
+    if (window == nullptr) {
+      const double* end = occurrence.data() + (cache.value_starts[trial + 1] - v0);
+      for (; loss != end; ++loss, ++folded) accumulator.add_occurrence(*loss);
+    } else {
+      const float* trial_times = times + offsets[trial];
+      for (std::uint64_t w = word_starts[trial]; w < word_starts[trial + 1]; ++w) {
+        const std::size_t base = static_cast<std::size_t>(w - word_starts[trial]) * 64;
+        for (std::uint64_t present = cache.words[w]; present != 0;
+             present &= present - 1, ++loss) {
+          if (!window->covers(trial_times[base + std::countr_zero(present)])) continue;
+          accumulator.add_occurrence(*loss);
+          ++folded;
+        }
+      }
+    }
+    row[trial - t0] = accumulator.trial_loss();
+  }
+  return folded;
+}
+
 template <typename Ext>
 class KernelImpl final : public TrialBlockKernel::Impl {
   using V = simd::VecD<Ext>;
@@ -229,6 +312,7 @@ class KernelImpl final : public TrialBlockKernel::Impl {
       }
       plan.terms = detail::LayerTermsV<V>::from(layer.terms);
       if (ylt != nullptr) plan.losses = ylt->layer_losses(layer_index);
+      if (replay_ != nullptr) plan.replay = replay_->layer(layer_index);
       plans_.push_back(std::move(plan));
     }
   }
@@ -245,6 +329,7 @@ class KernelImpl final : public TrialBlockKernel::Impl {
     obs::Histogram* block_hist =
         telemetry ? &obs::TelemetryRegistry::global().histogram("kernel.block_ns") : nullptr;
     std::uint64_t blocks = 0;
+    std::uint64_t replayed_entries = 0;  // cached entries folded (delta replay)
 
     // Completed work is flushed whether the range finishes or is cancelled
     // mid-way — the per-block counters must never claim trials that did not
@@ -258,6 +343,7 @@ class KernelImpl final : public TrialBlockKernel::Impl {
       if (replay_ != nullptr) {
         registry.counter("kernel.ground_up.replayed_events")
             .add(offsets[up_to] - offsets[first]);
+        registry.counter("kernel.ground_up.replayed_entries").add(replayed_entries);
       }
       if (capture_ != nullptr) {
         registry.counter("kernel.ground_up.captured_events")
@@ -312,7 +398,7 @@ class KernelImpl final : public TrialBlockKernel::Impl {
 
       {
         obs::ScopedTimer block_timer(block_hist);
-        run_block(t0, t1, scratch);
+        replayed_entries += run_block(t0, t1, scratch);
       }
       ++blocks;
     }
@@ -321,7 +407,10 @@ class KernelImpl final : public TrialBlockKernel::Impl {
   }
 
  private:
-  void run_block(std::uint64_t t0, std::uint64_t t1, TrialKernelScratch& scratch) const {
+  /// Runs trials [t0, t1) of every layer; returns the ground-up entries a
+  /// replay folded (0 otherwise).
+  std::uint64_t run_block(std::uint64_t t0, std::uint64_t t1,
+                          TrialKernelScratch& scratch) const {
     const std::span<const std::uint64_t> offsets = yet_->offsets();
     const std::uint64_t ev0 = offsets[t0];
     const std::size_t count = static_cast<std::size_t>(offsets[t1] - ev0);
@@ -329,55 +418,47 @@ class KernelImpl final : public TrialBlockKernel::Impl {
     const float* times = yet_->times().data() + ev0;
     const std::size_t num_block_trials = static_cast<std::size_t>(t1 - t0);
     if (fault::should_inject(fault::sites::kKernelAlloc)) throw std::bad_alloc();
-    scratch.combined.resize(count);
     if (sink_ != nullptr) scratch.block_losses.resize(plans_.size() * num_block_trials);
+    std::uint64_t folded = 0;
 
-    if (instrument_) {
+    if (replay_ != nullptr) {
+      folded = replay_block(t0, t1, count, scratch);
+    } else if (instrument_) {
       run_block_instrumented(t0, t1, ev0, count, events, times, offsets, scratch);
     } else {
       const std::size_t chunk = event_chunk_ != 0 ? event_chunk_ : count;
+      scratch.combined.resize(count);
+      double* combined = scratch.combined.data();
       for (std::size_t layer_index = 0; layer_index < plans_.size(); ++layer_index) {
         const LayerPlan<V>& plan = plans_[layer_index];
-        double* combined = scratch.combined.data();
-        if (replay_ != nullptr) {
-          // Delta execution: the combined pre-occurrence losses were
-          // captured by an earlier full run; copy them in and skip the
-          // fetch/lookup/financial phases entirely. The copied doubles are
-          // the very values the full run computed, and occurrence terms are
-          // elementwise (min/max/sub, no cross-lane or cross-chunk state),
-          // so the bytes below match a cold run exactly.
-          const double* cached =
-              replay_->layer_values(layer_index) + static_cast<std::size_t>(ev0);
-          std::copy(cached, cached + count, combined);
-          apply_occurrence_terms<V>(plan, combined, count);
-        } else {
-          // Phase 1+2: batch ELT lookups + financial terms across ELTs, then
-          // occurrence terms — staged in event_chunk-bounded spans (the whole
-          // block when unconstrained).
-          for (std::size_t c0 = 0; c0 < count; c0 += chunk) {
-            const std::size_t n = std::min(chunk, count - c0);
-            if (plan.sparse) {
-              plan.sparse->combine(events + c0, n, combined + c0);
-            } else if (!plan.direct.empty()) {
-              combine_elts_direct<V>(plan, events + c0, n, combined + c0);
-            } else {
-              combine_elts_generic<V>(plan, events + c0, n, combined + c0, scratch.raw);
-            }
-            if (capture_ != nullptr) {
-              // Capture between combine and the in-place occurrence terms:
-              // this chunk's slice is final combined losses right here.
-              // Concurrent blocks write disjoint [ev0, ev0+count) ranges.
-              std::copy(combined + c0, combined + c0 + n,
-                        capture_->layer_values(layer_index) +
-                            static_cast<std::size_t>(ev0) + c0);
-            }
-            apply_occurrence_terms<V>(plan, combined + c0, n);
+        // Phase 1+2: batch ELT lookups + financial terms across ELTs, then
+        // occurrence terms — staged in event_chunk-bounded spans (the whole
+        // block when unconstrained).
+        std::uint64_t capture_trial = t0;
+        if (capture_ != nullptr) begin_capture(t0, t1, scratch);
+        for (std::size_t c0 = 0; c0 < count; c0 += chunk) {
+          const std::size_t n = std::min(chunk, count - c0);
+          if (plan.sparse) {
+            plan.sparse->combine(events + c0, n, combined + c0);
+          } else if (!plan.direct.empty()) {
+            combine_elts_direct<V>(plan, events + c0, n, combined + c0);
+          } else {
+            combine_elts_generic<V>(plan, events + c0, n, combined + c0, scratch.raw);
           }
+          if (capture_ != nullptr) {
+            // Capture between combine and the in-place occurrence terms:
+            // this chunk's slice is final combined losses right here.
+            capture_chunk(combined, c0, n, offsets, capture_->word_starts(), t0, capture_trial,
+                          scratch.capture_words.data(), scratch.capture_values);
+          }
+          apply_occurrence_terms<V>(plan, combined + c0, n);
         }
-        double* row = sink_ != nullptr
-                          ? scratch.block_losses.data() + layer_index * num_block_trials
-                          : plan.losses.data() + t0;
-        aggregate_trials(plan.layer->terms, combined, times, window_, offsets, t0, t1, ev0, row);
+        if (capture_ != nullptr) {
+          capture_->add_segment(layer_index, t0, t1, scratch.capture_words,
+                                scratch.capture_values);
+        }
+        aggregate_trials(plan.layer->terms, combined, times, window_, offsets, t0, t1, ev0,
+                         layer_row(layer_index, t0, num_block_trials, scratch));
       }
     }
 
@@ -396,6 +477,45 @@ class KernelImpl final : public TrialBlockKernel::Impl {
             kernel_seconds_between(emit_start, KernelBodyClock::now());
       }
     }
+    return folded;
+  }
+
+  /// Where layer `layer_index`'s trial losses for block [t0, t0 + n) land:
+  /// the staged block row in sink mode, else the YLT row itself.
+  double* layer_row(std::size_t layer_index, std::uint64_t t0, std::size_t n,
+                    TrialKernelScratch& scratch) const {
+    return sink_ != nullptr ? scratch.block_losses.data() + layer_index * n
+                            : plans_[layer_index].losses.data() + t0;
+  }
+
+  /// Delta execution: every layer folds its present cached losses; the
+  /// fetch, lookup and financial phases never run. An instrumented block
+  /// times the replay as the layer phase. Returns the entries folded.
+  std::uint64_t replay_block(std::uint64_t t0, std::uint64_t t1, std::size_t count,
+                             TrialKernelScratch& scratch) const {
+    const std::size_t num_block_trials = static_cast<std::size_t>(t1 - t0);
+    std::uint64_t folded = 0;
+    for (std::size_t layer_index = 0; layer_index < plans_.size(); ++layer_index) {
+      const auto stamp = instrument_ ? KernelBodyClock::now() : KernelBodyClock::time_point{};
+      folded += replay_trials<V>(plans_[layer_index], replay_->word_starts(),
+                                 yet_->times().data(), window_, yet_->offsets(), t0, t1,
+                                 scratch.combined,
+                                 layer_row(layer_index, t0, num_block_trials, scratch));
+      if (instrument_) {
+        scratch.phases.layer_seconds += kernel_seconds_between(stamp, KernelBodyClock::now());
+        scratch.accesses.events_fetched += count;
+        scratch.accesses.layer_term_applications += 2 * count;  // occurrence + aggregate
+      }
+    }
+    return folded;
+  }
+
+  /// Resets the scratch capture segment for one layer of block [t0, t1):
+  /// zeroed bitmap words, no values.
+  void begin_capture(std::uint64_t t0, std::uint64_t t1, TrialKernelScratch& scratch) const {
+    const std::span<const std::uint64_t> word_starts = capture_->word_starts();
+    scratch.capture_words.assign(static_cast<std::size_t>(word_starts[t1] - word_starts[t0]), 0);
+    scratch.capture_values.clear();
   }
 
   /// Instrumented block: the same arithmetic as the fast path (the YLT
@@ -412,63 +532,52 @@ class KernelImpl final : public TrialBlockKernel::Impl {
                               std::span<const std::uint64_t> offsets,
                               TrialKernelScratch& scratch) const {
     PhaseBreakdown& phases = scratch.phases;
+    const std::size_t num_block_trials = static_cast<std::size_t>(t1 - t0);
 
     auto stamp = KernelBodyClock::now();
-    // A replay block never reads the event ids (combined losses come from
-    // the ground-up cache) — only the timestamps the aggregate recurrence
-    // filters on. Its fetch phase is the staging of those plus, per layer
-    // below, the cached-loss copy; lookup/financial stay exactly zero.
-    if (replay_ == nullptr) scratch.staged_events.assign(events, events + count);
+    scratch.staged_events.assign(events, events + count);
     scratch.staged_times.assign(times, times + count);
     auto now = KernelBodyClock::now();
     phases.fetch_seconds += kernel_seconds_between(stamp, now);
-    stamp = now;
 
+    scratch.combined.resize(count);
     double* combined = scratch.combined.data();
-    if (replay_ == nullptr) scratch.raw.resize(count);
-    const std::size_t num_block_trials = static_cast<std::size_t>(t1 - t0);
+    scratch.raw.resize(count);
 
     for (std::size_t layer_index = 0; layer_index < plans_.size(); ++layer_index) {
       const LayerPlan<V>& plan = plans_[layer_index];
       const std::vector<LayerElt>& elts = plan.layer->elts;
       scratch.accesses.events_fetched += count;
-      if (replay_ != nullptr) {
+      for (std::size_t e = 0; e < elts.size(); ++e) {
         stamp = KernelBodyClock::now();
-        const double* cached =
-            replay_->layer_values(layer_index) + static_cast<std::size_t>(ev0);
-        std::copy(cached, cached + count, combined);
-        phases.fetch_seconds += kernel_seconds_between(stamp, KernelBodyClock::now());
-      } else {
-        for (std::size_t e = 0; e < elts.size(); ++e) {
-          stamp = KernelBodyClock::now();
-          {
-            obs::Span span("elt.lookup_many", "elt");
-            elts[e].lookup->lookup_many(scratch.staged_events.data(), count, scratch.raw.data());
-          }
-          now = KernelBodyClock::now();
-          phases.lookup_seconds += kernel_seconds_between(stamp, now);
-          fold_raw_losses<V>(plan, e, scratch.raw.data(), count, combined);
-          phases.financial_seconds += kernel_seconds_between(now, KernelBodyClock::now());
+        {
+          obs::Span span("elt.lookup_many", "elt");
+          elts[e].lookup->lookup_many(scratch.staged_events.data(), count, scratch.raw.data());
         }
-        scratch.accesses.elt_lookups += elts.size() * count;
-        scratch.accesses.financial_applications += elts.size() * count;
-        if (capture_ != nullptr) {
-          // The combined buffer is final pre-occurrence right here; the
-          // capture copy is data placement, so it lands in the output phase.
-          stamp = KernelBodyClock::now();
-          std::copy(combined, combined + count,
-                    capture_->layer_values(layer_index) + static_cast<std::size_t>(ev0));
-          phases.output_seconds += kernel_seconds_between(stamp, KernelBodyClock::now());
-        }
+        now = KernelBodyClock::now();
+        phases.lookup_seconds += kernel_seconds_between(stamp, now);
+        fold_raw_losses<V>(plan, e, scratch.raw.data(), count, combined);
+        phases.financial_seconds += kernel_seconds_between(now, KernelBodyClock::now());
+      }
+      scratch.accesses.elt_lookups += elts.size() * count;
+      scratch.accesses.financial_applications += elts.size() * count;
+      if (capture_ != nullptr) {
+        // The combined buffer is final pre-occurrence right here; the
+        // capture is data placement, so it lands in the output phase.
+        stamp = KernelBodyClock::now();
+        std::uint64_t capture_trial = t0;
+        begin_capture(t0, t1, scratch);
+        capture_chunk(combined, 0, count, offsets, capture_->word_starts(), t0, capture_trial,
+                      scratch.capture_words.data(), scratch.capture_values);
+        capture_->add_segment(layer_index, t0, t1, scratch.capture_words,
+                              scratch.capture_values);
+        phases.output_seconds += kernel_seconds_between(stamp, KernelBodyClock::now());
       }
 
       stamp = KernelBodyClock::now();
       apply_occurrence_terms<V>(plan, combined, count);
-      double* row = sink_ != nullptr
-                        ? scratch.block_losses.data() + layer_index * num_block_trials
-                        : plan.losses.data() + t0;
       aggregate_trials(plan.layer->terms, combined, scratch.staged_times.data(), window_,
-                       offsets, t0, t1, ev0, row);
+                       offsets, t0, t1, ev0, layer_row(layer_index, t0, num_block_trials, scratch));
       phases.layer_seconds += kernel_seconds_between(stamp, KernelBodyClock::now());
       scratch.accesses.layer_term_applications += 2 * count;  // occurrence + aggregate
     }

@@ -233,12 +233,14 @@ QuoteResponse AnalysisService::quote(const QuoteRequest& request) {
 
   std::shared_ptr<core::GroundUpLossCache> capture;
   if (request.use_delta && replay == nullptr) {
+    // The claim is charged the worst case (every loss present); once
+    // published, the book is charged what the sealed cache holds.
     const std::size_t bytes = core::GroundUpLossCache::estimate_bytes(
-        portfolio->layers.size(), session_.yet_table().total_events());
+        portfolio->layers.size(), session_.yet_table());
     if (session_.try_claim_capture(request.portfolio_id, book.structure_generation,
                                    bytes)) {
-      capture = std::make_shared<core::GroundUpLossCache>(
-          portfolio->layers.size(), session_.yet_table().total_events());
+      capture = std::make_shared<core::GroundUpLossCache>(portfolio->layers.size(),
+                                                          session_.yet_table());
     }
   }
 
@@ -297,9 +299,11 @@ QuoteResponse AnalysisService::quote(const QuoteRequest& request) {
     return finish(std::move(response));
   }
   broker_.release(cost);
-  if (capture != nullptr) {
+  if (capture != nullptr && capture->sealed()) {
     session_.publish_ground_up(request.portfolio_id, book.structure_generation,
                                std::move(capture));
+  } else if (capture != nullptr) {
+    session_.abandon_capture(request.portfolio_id);
   }
 
   outcome->quotes.reserve(portfolio->layers.size());

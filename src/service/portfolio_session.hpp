@@ -15,7 +15,7 @@
 //     captured ground-up losses valid for delta re-pricing.
 //
 // Ground-up captures follow a claim/publish protocol so concurrent cold
-// runs do not duplicate the (layers x events x 8 bytes) buffer: one caller
+// runs do not duplicate the capture: one caller
 // claims the capture slot, runs with TrialKernelConfig::ground_up_capture,
 // then publishes (or abandons on failure). Published caches are immutable
 // and shared_ptr'd, so replays run lock-free against a snapshot even while
@@ -42,8 +42,12 @@ struct SessionConfig {
   /// Worker threads of the resident pool; 0 = hardware concurrency.
   std::size_t num_threads = 0;
   /// Total bytes of ground-up loss caches the session may keep resident
-  /// across all books; a capture whose buffer would exceed it is not
-  /// claimed (requests still run, just without the delta fast path).
+  /// across all books. A capture is claimed only if its worst case
+  /// (GroundUpLossCache::estimate_bytes: every loss present) fits what is
+  /// left; otherwise requests still run, just without the delta fast path.
+  /// Once published, a book is charged its sealed cache's memory_bytes() —
+  /// typically far below the claim, since only losses that are not +0.0
+  /// are kept — and the `service.ground_up_bytes` gauge shows that sum.
   /// 0 = delta caching disabled.
   std::size_t ground_up_budget_bytes = 512ull << 20;
 };

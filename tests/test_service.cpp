@@ -61,7 +61,8 @@ class Service : public ::testing::Test {
   void TearDown() override { obs::set_enabled(false); }
 };
 
-core::Portfolio make_portfolio(std::size_t num_layers = 2, std::size_t elts_per_layer = 3) {
+core::Portfolio make_portfolio(std::size_t num_layers = 2, std::size_t elts_per_layer = 3,
+                               std::size_t elt_entries = 2'000) {
   core::Portfolio portfolio;
   for (std::size_t l = 0; l < num_layers; ++l) {
     core::Layer layer;
@@ -73,7 +74,7 @@ core::Portfolio make_portfolio(std::size_t num_layers = 2, std::size_t elts_per_
     for (std::size_t e = 0; e < elts_per_layer; ++e) {
       elt::SyntheticEltConfig config;
       config.catalog_size = kUniverse;
-      config.entries = 2'000;
+      config.entries = elt_entries;
       config.elt_id = l * 100 + e;
       core::LayerElt layer_elt;
       layer_elt.lookup = elt::make_lookup(elt::LookupKind::kDirectAccess,
@@ -126,7 +127,7 @@ TEST_F(Service, GroundUpReplayIsBitIdenticalAcrossEnginesAndSinks) {
   const auto yet_table = make_yet();
 
   for (const char* engine : {"seq", "parallel", "simd", "fused"}) {
-    core::GroundUpLossCache cache(portfolio.layers.size(), yet_table.total_events());
+    core::GroundUpLossCache cache(portfolio.layers.size(), yet_table);
     {
       core::AnalysisConfig config;
       config.engine = core::engine_preset(engine).kind;
@@ -169,7 +170,7 @@ TEST_F(Service, GroundUpReplayIsBitIdenticalAcrossEnginesAndSinks) {
 TEST_F(Service, ReplaySkipsLookupAndFinancialPhasesEntirely) {
   const auto portfolio = make_portfolio();
   const auto yet_table = make_yet();
-  core::GroundUpLossCache cache(portfolio.layers.size(), yet_table.total_events());
+  core::GroundUpLossCache cache(portfolio.layers.size(), yet_table);
 
   obs::set_enabled(true);
   {
@@ -210,9 +211,10 @@ TEST_F(Service, ReplaySkipsLookupAndFinancialPhasesEntirely) {
 TEST_F(Service, GroundUpCacheValidation) {
   const auto portfolio = make_portfolio();
   const auto yet_table = make_yet();
-  core::GroundUpLossCache good(portfolio.layers.size(), yet_table.total_events());
-  core::GroundUpLossCache bad_layers(portfolio.layers.size() + 1, yet_table.total_events());
-  core::GroundUpLossCache bad_events(portfolio.layers.size(), yet_table.total_events() + 1);
+  const auto other_trials = make_yet(501);
+  core::GroundUpLossCache good(portfolio.layers.size(), yet_table);
+  core::GroundUpLossCache bad_layers(portfolio.layers.size() + 1, yet_table);
+  core::GroundUpLossCache bad_events(portfolio.layers.size(), other_trials);
 
   core::AnalysisConfig both;
   both.ground_up_capture = &good;
@@ -228,6 +230,30 @@ TEST_F(Service, GroundUpCacheValidation) {
     config.ground_up_capture = wrong;
     EXPECT_THROW((void)core::run({portfolio, yet_table, config}), std::invalid_argument);
   }
+
+  // A cache whose segments do not tile every trial stays unsealed, and an
+  // unsealed cache cannot be replayed.
+  core::GroundUpLossCache partial(portfolio.layers.size(), yet_table);
+  const auto word_starts = partial.word_starts();
+  const std::vector<std::uint64_t> words(word_starts[10] - word_starts[0], 0);
+  for (std::size_t layer = 0; layer < portfolio.layers.size(); ++layer) {
+    partial.add_segment(layer, 0, 10, words, {});
+  }
+  const std::vector<std::uint64_t> one_word_too_many(word_starts[20] - word_starts[10] + 1, 0);
+  EXPECT_THROW(partial.add_segment(0, 10, 20, one_word_too_many, {}), std::invalid_argument);
+  EXPECT_FALSE(partial.seal());
+  EXPECT_FALSE(partial.sealed());
+  core::AnalysisConfig config;
+  config.ground_up_replay = &partial;
+  EXPECT_THROW((void)core::run({portfolio, yet_table, config}), std::invalid_argument);
+
+  // A sealed cache is immutable: it cannot capture again.
+  core::GroundUpLossCache sealed(portfolio.layers.size(), yet_table);
+  config.ground_up_replay = nullptr;
+  config.ground_up_capture = &sealed;
+  (void)core::run({portfolio, yet_table, config});
+  ASSERT_TRUE(sealed.sealed());
+  EXPECT_THROW((void)core::run({portfolio, yet_table, config}), std::invalid_argument);
 }
 
 // --- Snapshot::diff ------------------------------------------------------------
@@ -434,6 +460,39 @@ TEST_F(Service, DirectBookQuoteCountsEveryEltLookup) {
   const auto delta = service_ptr->quote(request);
   ASSERT_EQ(delta.source, service::QuoteSource::kDelta);
   EXPECT_EQ(service::make_log_entry(request, delta).elt_lookups, 0u);
+}
+
+TEST_F(Service, DeltaQuoteReportsTheCachedEntriesAndTheSealedBytes) {
+  // Each layer's one ELT covers 1% of the 20k-event catalog, so ~99% of
+  // the combined ground-up losses are +0.0 and stay out of the cache.
+  const auto yet_table = make_yet(200, 250.0);
+  service::ServiceConfig config;
+  config.session.num_threads = 2;
+  config.default_engine = "fused";
+  auto service_ptr = std::make_unique<service::AnalysisService>(yet_table, config);
+  service_ptr->register_portfolio("book", make_portfolio(2, 1, 200));
+  obs::set_enabled(true);
+  service::QuoteRequest request;
+  request.portfolio_id = "book";
+  ASSERT_EQ(service_ptr->quote(request).source, service::QuoteSource::kCold);
+  const auto ground_up = service_ptr->session().snapshot("book").ground_up;
+  ASSERT_NE(ground_up, nullptr);
+  ASSERT_TRUE(ground_up->sealed());
+  const std::size_t dense_bytes = 2 * yet_table.total_events() * sizeof(double);
+  EXPECT_LT(ground_up->memory_bytes(), dense_bytes / 8);
+  EXPECT_GT(ground_up->entries(), 0u);
+  EXPECT_EQ(service_ptr->session().ground_up_bytes(), ground_up->memory_bytes());
+  EXPECT_EQ(obs::TelemetryRegistry::global().snapshot().gauge_value("service.ground_up_bytes"),
+            static_cast<std::int64_t>(ground_up->memory_bytes()));
+
+  request.overrides.push_back({1, tweaked_terms()});
+  const auto delta = service_ptr->quote(request);
+  ASSERT_EQ(delta.source, service::QuoteSource::kDelta);
+  ASSERT_TRUE(delta.telemetry.has_value());
+  EXPECT_EQ(delta.telemetry->counter_value("kernel.ground_up.replayed_entries"),
+            ground_up->entries());
+  EXPECT_EQ(delta.telemetry->counter_value("kernel.ground_up.replayed_events"),
+            yet_table.total_events());
 }
 
 TEST_F(Service, DurableUpdateInvalidatesCacheButKeepsGroundUp) {

@@ -6,11 +6,13 @@
 // divisible by the lane width).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "core/analysis.hpp"
+#include "core/simd_terms.hpp"
 #include "elt/synthetic.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/trial_batch.hpp"
@@ -174,6 +176,73 @@ TEST(SimdVec, Avx512Ops) { check_vec_ops<simd::VecD<simd::avx512_ext>>(); }
 #endif
 #if ARE_SIMD_HAVE_NEON
 TEST(SimdVec, NeonOps) { check_vec_ops<simd::VecD<simd::neon_ext>>(); }
+#endif
+
+/// excess_v is the scalar excess_of_loss bit for bit, signed zeros
+/// included: +0.0 and -0.0 occurrence and aggregate limits (and the ELT
+/// limit behind apply_financial_v), losses below, at and above the
+/// retention. A -0.0 limit once turned a loss at or below the retention
+/// into -0.0 in vector lanes where the scalar form gives +0.0.
+template <typename V>
+void check_excess_matches_scalar() {
+  constexpr std::size_t kW = V::kLanes;
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  for (const double retention : {0.0, 250.0}) {
+    for (const double limit : {0.0, -0.0, 100.0, financial::kUnlimited}) {
+      const financial::LayerTerms layer{retention, limit, retention, limit};
+      const financial::FinancialTerms elt{
+          .occurrence_retention = retention, .occurrence_limit = limit, .share = 0.5};
+      const core::detail::LayerTermsV<V> layer_v = core::detail::LayerTermsV<V>::from(layer);
+      const core::detail::EltTermsV<V> elt_v = core::detail::EltTermsV<V>::from(elt);
+      const double losses[] = {0.0,           -0.0,          retention * 0.5,
+                               retention,     retention + 1, retention + 100,
+                               retention + 1e6};
+      for (const double loss : losses) {
+        double in[kW], occurrence[kW], aggregate[kW], financial_out[kW];
+        for (std::size_t lane = 0; lane < kW; ++lane) in[lane] = lane % 2 == 0 ? loss : 0.0;
+        const auto x = V::load(in);
+        V::store(occurrence, core::detail::excess_v<V>(x, layer_v.occ_retention, layer_v.occ_limit));
+        V::store(aggregate, core::detail::excess_v<V>(x, layer_v.agg_retention, layer_v.agg_limit));
+        V::store(financial_out, core::detail::apply_financial_v<V>(x, elt_v));
+        for (std::size_t lane = 0; lane < kW; ++lane) {
+          SCOPED_TRACE(testing::Message() << V::kName << " loss " << in[lane] << " retention "
+                                          << retention << " limit " << limit << " lane " << lane);
+          EXPECT_TRUE(same_bits(occurrence[lane], layer.apply_occurrence(in[lane])));
+          EXPECT_TRUE(same_bits(aggregate[lane], layer.apply_aggregate(in[lane])));
+          EXPECT_TRUE(same_bits(financial_out[lane], elt.apply(in[lane])));
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdVec, ExcessMatchesScalarOnSignedZeroLimitsScalar) {
+  check_excess_matches_scalar<simd::VecD<simd::scalar_ext>>();
+}
+#if ARE_SIMD_HAVE_SSE2
+TEST(SimdVec, ExcessMatchesScalarOnSignedZeroLimitsSse2) {
+  if (!runnable(Extension::kSse2)) GTEST_SKIP() << "sse2 not runnable here";
+  check_excess_matches_scalar<simd::VecD<simd::sse2_ext>>();
+}
+#endif
+#if ARE_SIMD_HAVE_AVX2
+TEST(SimdVec, ExcessMatchesScalarOnSignedZeroLimitsAvx2) {
+  if (!runnable(Extension::kAvx2)) GTEST_SKIP() << "avx2 not runnable here";
+  check_excess_matches_scalar<simd::VecD<simd::avx2_ext>>();
+}
+#endif
+#if ARE_SIMD_HAVE_AVX512
+TEST(SimdVec, ExcessMatchesScalarOnSignedZeroLimitsAvx512) {
+  if (!runnable(Extension::kAvx512)) GTEST_SKIP() << "avx512 not runnable here";
+  check_excess_matches_scalar<simd::VecD<simd::avx512_ext>>();
+}
+#endif
+#if ARE_SIMD_HAVE_NEON
+TEST(SimdVec, ExcessMatchesScalarOnSignedZeroLimitsNeon) {
+  check_excess_matches_scalar<simd::VecD<simd::neon_ext>>();
+}
 #endif
 
 TEST(SimdVec, BestExtensionIsAvailable) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <optional>
 #include <cstring>
 #include <random>
 #include <set>
@@ -15,6 +17,7 @@
 #include "core/trial_kernel.hpp"
 #include "elt/synthetic.hpp"
 #include "financial/trial_accumulator.hpp"
+#include "obs/telemetry.hpp"
 #include "shard/sharded_ylt.hpp"
 #include "yet/generator.hpp"
 
@@ -368,33 +371,67 @@ yet::YearEventTable memory_bound_yet() {
   return yet::YearEventTable(std::move(events), std::move(times), std::move(offsets));
 }
 
+/// Combined pre-occurrence losses, one row per layer, one double per YET
+/// occurrence.
+using DenseGroundUp = std::vector<std::vector<double>>;
+
 /// The dense fold of the combine step, transcribed: per occurrence, the
 /// first ELT's term, then every later ELT's added in layer order — scalar
 /// FinancialTerms::apply over the virtual lookup.
-core::GroundUpLossCache reference_ground_up(const Portfolio& portfolio,
-                                            const yet::YearEventTable& yet_table) {
-  core::GroundUpLossCache cache(portfolio.layers.size(), yet_table.total_events());
+DenseGroundUp reference_ground_up(const Portfolio& portfolio,
+                                  const yet::YearEventTable& yet_table) {
   const auto events = yet_table.events();
+  DenseGroundUp dense(portfolio.layers.size(), std::vector<double>(events.size()));
   for (std::size_t layer_index = 0; layer_index < portfolio.layers.size(); ++layer_index) {
     const std::vector<core::LayerElt>& elts = portfolio.layers[layer_index].elts;
-    double* out = cache.layer_values(layer_index);
     for (std::size_t k = 0; k < events.size(); ++k) {
       double sum = elts[0].terms.apply(elts[0].lookup->lookup(events[k]));
       for (std::size_t e = 1; e < elts.size(); ++e) {
         sum += elts[e].terms.apply(elts[e].lookup->lookup(events[k]));
       }
-      out[k] = sum;
+      dense[layer_index][k] = sum;
     }
   }
-  return cache;
+  return dense;
 }
 
-void expect_same_layer_bytes(const core::GroundUpLossCache& a, const core::GroundUpLossCache& b,
-                             std::size_t layer_index) {
-  ASSERT_EQ(a.total_events(), b.total_events());
-  EXPECT_EQ(0, std::memcmp(a.layer_values(layer_index), b.layer_values(layer_index),
-                           static_cast<std::size_t>(a.total_events()) * sizeof(double)))
-      << "ground-up layer index " << layer_index;
+/// One layer of a sealed cache, densified through its public sparse view:
+/// +0.0 where a trial's bit is clear, else the trial's next packed value.
+std::vector<double> densify(const core::GroundUpLossCache& cache, std::size_t layer_index,
+                            const yet::YearEventTable& yet_table) {
+  const core::GroundUpLossCache::LayerView view = cache.layer(layer_index);
+  const auto word_starts = cache.word_starts();
+  const auto offsets = yet_table.offsets();
+  std::vector<double> dense(yet_table.total_events(), 0.0);
+  for (std::size_t trial = 0; trial < yet_table.num_trials(); ++trial) {
+    std::uint64_t next = view.value_starts[trial];
+    for (std::uint64_t k = 0; k < offsets[trial + 1] - offsets[trial]; ++k) {
+      if ((view.words[word_starts[trial] + k / 64] >> (k % 64) & 1) != 0) {
+        dense[offsets[trial] + k] = view.values[next++];
+      }
+    }
+    EXPECT_EQ(next, view.value_starts[trial + 1]) << "trial " << trial;
+  }
+  return dense;
+}
+
+/// The capture must densify to the reference bytes, signed zeros included,
+/// and hold exactly the losses that are not +0.0.
+void expect_ground_up(const DenseGroundUp& expected, const core::GroundUpLossCache& cache,
+                      const yet::YearEventTable& yet_table) {
+  ASSERT_TRUE(cache.sealed());
+  ASSERT_EQ(cache.num_layers(), expected.size());
+  std::uint64_t present = 0;
+  for (std::size_t layer_index = 0; layer_index < expected.size(); ++layer_index) {
+    const std::vector<double> dense = densify(cache, layer_index, yet_table);
+    ASSERT_EQ(dense.size(), expected[layer_index].size());
+    EXPECT_EQ(0, std::memcmp(dense.data(), expected[layer_index].data(),
+                             dense.size() * sizeof(double)))
+        << "ground-up layer index " << layer_index;
+    present += static_cast<std::uint64_t>(std::ranges::count_if(
+        expected[layer_index], [](double x) { return std::bit_cast<std::uint64_t>(x) != 0; }));
+  }
+  EXPECT_EQ(cache.entries(), present);
 }
 
 std::vector<simd::Extension> runnable_extensions() {
@@ -445,19 +482,16 @@ TEST(SparseLayerPath, BitIdenticalToOraclesOnEveryExtensionAndSchedule) {
       config.extension = extension;
       config.block_trials = 37;
       const KernelLaunch launch{.schedule = schedule, .num_threads = 3, .chunk = 50};
-      core::GroundUpLossCache sparse(2, in.yet_table.total_events());
-      core::GroundUpLossCache generic(2, in.yet_table.total_events());
+      core::GroundUpLossCache sparse(2, in.yet_table);
+      core::GroundUpLossCache generic(2, in.yet_table);
       config.ground_up_capture = &sparse;
       expect_identical(reference, run_kernel(in.direct, in.yet_table, config, launch));
       config.ground_up_capture = &generic;
       expect_identical(reference, run_kernel(in.robin_hood, in.yet_table, config, launch));
-      expect_same_layer_bytes(ground_up, sparse, 0);
-      expect_same_layer_bytes(ground_up, sparse, 1);
-      // The lookup_many path agrees on the first layer too. Not on the
-      // second: its vector lanes turn an absent event of a -0.0-limit ELT
-      // into -0.0 where the scalar FinancialTerms::apply gives +0.0. The
-      // YLT bytes agree regardless: occurrence terms map both to +0.0.
-      expect_same_layer_bytes(generic, sparse, 0);
+      // Both layers of both paths, the -0.0-limit ELTs included: the
+      // vector lanes of the lookup_many path round like the scalar terms.
+      expect_ground_up(ground_up, sparse, in.yet_table);
+      expect_ground_up(ground_up, generic, in.yet_table);
     }
   }
 }
@@ -490,12 +524,10 @@ TEST(SparseLayerPath, CaptureThenReplayEqualsAColdRun) {
   TrialKernelConfig config;
   config.extension = simd::best_extension();
   const KernelLaunch launch{.schedule = KernelLaunch::Schedule::kPool, .num_threads = 3};
-  core::GroundUpLossCache capture(2, in.yet_table.total_events());
+  core::GroundUpLossCache capture(2, in.yet_table);
   config.ground_up_capture = &capture;
   const auto cold = run_kernel(in.direct, in.yet_table, config, launch);
-  const auto ground_up = reference_ground_up(in.direct, in.yet_table);
-  expect_same_layer_bytes(ground_up, capture, 0);
-  expect_same_layer_bytes(ground_up, capture, 1);
+  expect_ground_up(reference_ground_up(in.direct, in.yet_table), capture, in.yet_table);
 
   config.ground_up_capture = nullptr;
   config.ground_up_replay = &capture;
@@ -506,6 +538,242 @@ TEST(SparseLayerPath, CaptureThenReplayEqualsAColdRun) {
   retermed.layers[1].terms = financial::LayerTerms::aggregate_xl(0.0, -0.0);
   expect_identical(reference_ylt(retermed, in.yet_table),
                    run_kernel(retermed, in.yet_table, config, launch));
+}
+
+// --- Delta replay from the sparse ground-up cache -----------------------------
+//
+// Capture on a cold run, then replay under new layer terms and windows;
+// every replay must give the bytes of the seed reference and of a cold
+// kernel run of the same request.
+
+/// 203 ragged trials over [0, kUniverse): about a fifth empty, some past 64
+/// events (several bitmap words), every timestamp below 0.9 — so
+/// kEmptyWindow covers no occurrence.
+yet::YearEventTable ragged_yet() {
+  std::mt19937_64 rng(15);
+  std::vector<elt::EventId> events;
+  std::vector<float> times;
+  std::vector<std::uint64_t> offsets{0};
+  for (std::size_t trial = 0; trial < 203; ++trial) {
+    const std::size_t length = rng() % 5 == 0 ? 0 : rng() % 140;
+    for (std::size_t k = 0; k < length; ++k) {
+      events.push_back(static_cast<elt::EventId>(rng() % kUniverse));
+      times.push_back(static_cast<float>(rng() % 900) / 1000.0f);
+    }
+    std::sort(times.end() - static_cast<std::ptrdiff_t>(length), times.end());
+    offsets.push_back(events.size());
+  }
+  return yet::YearEventTable(std::move(events), std::move(times), std::move(offsets));
+}
+
+constexpr CoverageWindow kEmptyWindow{0.9f, 1.0f};
+
+/// Occurrence and aggregate retentions and limits of 0, finite, and
+/// unlimited, crossed.
+std::vector<financial::LayerTerms> replay_terms() {
+  using financial::kUnlimited;
+  const std::pair<double, double> bands[] = {{0.0, kUnlimited}, {1e5, 2e6}, {5e4, 0.0}};
+  const std::pair<double, double> aggregates[] = {{0.0, kUnlimited}, {3e5, 8e6}, {0.0, 0.0}};
+  std::vector<financial::LayerTerms> terms;
+  for (const auto& [occ_retention, occ_limit] : bands) {
+    for (const auto& [agg_retention, agg_limit] : aggregates) {
+      terms.push_back({occ_retention, occ_limit, agg_retention, agg_limit});
+    }
+  }
+  return terms;
+}
+
+Portfolio with_terms(Portfolio portfolio, const financial::LayerTerms& terms) {
+  for (core::Layer& layer : portfolio.layers) layer.terms = terms;
+  return portfolio;
+}
+
+TEST(GroundUpReplay, BitIdenticalToColdRunsOnEveryExtensionAndSchedule) {
+  const Portfolio portfolio = synthetic_portfolio(2, 3);
+  const auto yet_table = ragged_yet();
+  const auto ground_up = reference_ground_up(portfolio, yet_table);
+  const std::optional<CoverageWindow> windows[] = {std::nullopt, CoverageWindow{0.25f, 0.75f},
+                                                   kEmptyWindow};
+  for (const simd::Extension extension : runnable_extensions()) {
+    for (const KernelLaunch::Schedule schedule :
+         {KernelLaunch::Schedule::kSerial, KernelLaunch::Schedule::kPool}) {
+      SCOPED_TRACE(std::string(core::to_string(extension)) +
+                   (schedule == KernelLaunch::Schedule::kPool ? " pool" : " serial"));
+      TrialKernelConfig config;
+      config.extension = extension;
+      config.block_trials = 17;
+      const KernelLaunch launch{.schedule = schedule, .num_threads = 3, .chunk = 20};
+      core::GroundUpLossCache cache(2, yet_table);
+      config.ground_up_capture = &cache;
+      expect_identical(reference_ylt(portfolio, yet_table),
+                       run_kernel(portfolio, yet_table, config, launch));
+      expect_ground_up(ground_up, cache, yet_table);
+      config.ground_up_capture = nullptr;
+
+      for (const financial::LayerTerms& terms : replay_terms()) {
+        const Portfolio retermed = with_terms(portfolio, terms);
+        for (const std::optional<CoverageWindow>& window : windows) {
+          SCOPED_TRACE(testing::Message()
+                       << "occ " << terms.occurrence_retention << "/" << terms.occurrence_limit
+                       << " agg " << terms.aggregate_retention << "/" << terms.aggregate_limit
+                       << " window " << (window ? window->from : -1.0f));
+          config.window = window;
+          config.ground_up_replay = nullptr;
+          const auto cold = run_kernel(retermed, yet_table, config, launch);
+          expect_identical(reference_ylt(retermed, yet_table, window ? &*window : nullptr), cold);
+          config.ground_up_replay = &cache;
+          expect_identical(cold, run_kernel(retermed, yet_table, config, launch));
+        }
+      }
+    }
+  }
+}
+
+TEST(GroundUpReplay, EventChunksShardedSinkAndInstrumentedPathKeepTheBytes) {
+  const Portfolio portfolio = synthetic_portfolio(2, 2, elt::LookupKind::kRobinHood);
+  const auto yet_table = ragged_yet();
+  const auto ground_up = reference_ground_up(portfolio, yet_table);
+  const Portfolio retermed = with_terms(portfolio, {1e5, 2e6, 3e5, 8e6});
+  const CoverageWindow window{0.25f, 0.75f};
+  const auto expected = reference_ylt(retermed, yet_table, &window);
+  for (const std::size_t chunk : {std::size_t{0}, std::size_t{1}, std::size_t{13}}) {
+    for (const bool instrument : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "chunk " << chunk << (instrument ? " instrumented" : ""));
+      TrialKernelConfig config;
+      config.extension = simd::best_extension();
+      config.block_trials = 23;
+      config.event_chunk = chunk;
+      config.instrument = instrument;
+      const KernelLaunch launch{.schedule = KernelLaunch::Schedule::kPool, .num_threads = 3};
+      core::GroundUpLossCache cache(2, yet_table);
+      config.ground_up_capture = &cache;
+      (void)run_kernel(portfolio, yet_table, config, launch);
+      expect_ground_up(ground_up, cache, yet_table);
+
+      config.ground_up_capture = nullptr;
+      config.ground_up_replay = &cache;
+      config.window = window;
+      expect_identical(expected, run_kernel(retermed, yet_table, config, launch));
+      // A sharded sink under a 1 KB budget: shards spill and fault back.
+      shard::ShardedYearLossTable sharded({1, 2}, yet_table.num_trials(), /*shard_trials=*/32,
+                                          {.memory_budget_bytes = 1024});
+      shard::ShardedYltSink sink(sharded);
+      core::run_trial_kernel(retermed, yet_table, config, launch, nullptr, &sink);
+      expect_identical(expected, sharded.materialize());
+    }
+  }
+}
+
+/// One direct ELT per layer with a loss for every catalog event; with
+/// `retention` above every loss, every combined loss is +0.0 instead.
+Portfolio every_event_book(double retention) {
+  std::vector<elt::EventLoss> records;
+  for (std::size_t event = 0; event < kUniverse; ++event) {
+    records.push_back({static_cast<elt::EventId>(event), 1e3 + static_cast<double>(event)});
+  }
+  const elt::EventLossTable table(std::move(records));
+  Portfolio portfolio;
+  for (std::uint32_t id : {1u, 2u}) {
+    core::Layer layer;
+    layer.id = id;
+    layer.terms = {1e4, 5e5, 1e5, 4e6};
+    layer.elts.push_back({elt::make_lookup(elt::LookupKind::kDirectAccess, table, kUniverse),
+                          {.occurrence_retention = retention, .share = 0.5 * id}});
+    portfolio.layers.push_back(std::move(layer));
+  }
+  return portfolio;
+}
+
+TEST(GroundUpReplay, WorstCaseBookFillsExactlyTheEstimate) {
+  const Portfolio portfolio = every_event_book(0.0);
+  const auto yet_table = ragged_yet();
+  TrialKernelConfig config;
+  config.extension = simd::best_extension();
+  core::GroundUpLossCache cache(2, yet_table);
+  config.ground_up_capture = &cache;
+  (void)run_kernel(portfolio, yet_table, config);
+  expect_ground_up(reference_ground_up(portfolio, yet_table), cache, yet_table);
+  EXPECT_EQ(cache.entries(), 2 * yet_table.total_events());
+  EXPECT_LE(cache.memory_bytes(), core::GroundUpLossCache::estimate_bytes(2, yet_table));
+  EXPECT_EQ(cache.memory_bytes(), core::GroundUpLossCache::estimate_bytes(2, yet_table));
+
+  config.ground_up_capture = nullptr;
+  config.ground_up_replay = &cache;
+  for (const financial::LayerTerms& terms : replay_terms()) {
+    const Portfolio retermed = with_terms(portfolio, terms);
+    expect_identical(reference_ylt(retermed, yet_table), run_kernel(retermed, yet_table, config));
+  }
+}
+
+TEST(GroundUpReplay, AllZeroBookKeepsNoEntries) {
+  const Portfolio portfolio = every_event_book(1e12);
+  const auto yet_table = ragged_yet();
+  TrialKernelConfig config;
+  config.extension = simd::best_extension();
+  core::GroundUpLossCache cache(2, yet_table);
+  config.ground_up_capture = &cache;
+  (void)run_kernel(portfolio, yet_table, config);
+  expect_ground_up(reference_ground_up(portfolio, yet_table), cache, yet_table);
+  EXPECT_EQ(cache.entries(), 0u);
+
+  config.ground_up_capture = nullptr;
+  config.ground_up_replay = &cache;
+  for (const financial::LayerTerms& terms : replay_terms()) {
+    const Portfolio retermed = with_terms(portfolio, terms);
+    expect_identical(reference_ylt(retermed, yet_table), run_kernel(retermed, yet_table, config));
+  }
+}
+
+/// Present entries of a sealed cache whose occurrence the window covers.
+std::uint64_t covered_entries(const core::GroundUpLossCache& cache,
+                              const yet::YearEventTable& yet_table,
+                              const CoverageWindow& window) {
+  std::uint64_t covered = 0;
+  const auto word_starts = cache.word_starts();
+  const auto offsets = yet_table.offsets();
+  for (std::size_t layer_index = 0; layer_index < cache.num_layers(); ++layer_index) {
+    const auto words = cache.layer(layer_index).words;
+    for (std::size_t trial = 0; trial < yet_table.num_trials(); ++trial) {
+      for (std::uint64_t k = 0; k < offsets[trial + 1] - offsets[trial]; ++k) {
+        covered += (words[word_starts[trial] + k / 64] >> (k % 64) & 1) != 0 &&
+                   window.covers(yet_table.times()[offsets[trial] + k]);
+      }
+    }
+  }
+  return covered;
+}
+
+TEST(GroundUpReplay, ReplayedEntriesCountsEveryFoldedEntryNegativeZerosIncluded) {
+  // The memory-bound book's second layer holds nothing but signed zeros:
+  // its -0.0 entries are kept, and a replay folds them like any other.
+  const MemoryBoundInputs& in = memory_bound();
+  TrialKernelConfig config;
+  config.extension = simd::best_extension();
+  const KernelLaunch launch{.schedule = KernelLaunch::Schedule::kPool, .num_threads = 3};
+  core::GroundUpLossCache cache(2, in.yet_table);
+  config.ground_up_capture = &cache;
+  (void)run_kernel(in.direct, in.yet_table, config, launch);
+  const auto second = cache.layer(1).values;
+  ASSERT_FALSE(second.empty());
+  EXPECT_TRUE(std::ranges::all_of(
+      second, [](double x) { return std::bit_cast<std::uint64_t>(x) == 1ull << 63; }));
+
+  config.ground_up_capture = nullptr;
+  config.ground_up_replay = &cache;
+  obs::TelemetryRegistry& registry = obs::TelemetryRegistry::global();
+  obs::set_enabled(true);
+  registry.reset();
+  (void)run_kernel(in.direct, in.yet_table, config, launch);
+  EXPECT_EQ(registry.snapshot().counter_value("kernel.ground_up.replayed_entries"),
+            cache.entries());
+
+  const CoverageWindow window{0.2f, 0.7f};
+  config.window = window;
+  registry.reset();
+  (void)run_kernel(in.direct, in.yet_table, config, launch);
+  EXPECT_EQ(registry.snapshot().counter_value("kernel.ground_up.replayed_entries"),
+            covered_entries(cache, in.yet_table, window));
+  obs::set_enabled(false);
 }
 
 }  // namespace

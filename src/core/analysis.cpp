@@ -117,11 +117,17 @@ void execute(const AnalysisRequest& request, YearLossTable* ylt, YltSink* sink) 
 
   const bool deliver = kernel.instrument && facts != nullptr;
   PhaseBreakdown phases;
-  AccessCounts accesses;
   run_trial_kernel(request.portfolio, request.yet_table, kernel, launch, ylt, sink,
-                   deliver ? &phases : nullptr, deliver ? &accesses : nullptr);
+                   deliver ? &phases : nullptr);
   if (deliver) {
     facts->phases = phases;
+    // The paper's algorithmic counts are a function of the inputs; a
+    // replay looks nothing up and applies no ELT terms.
+    AccessCounts accesses = predict_access_counts(request.portfolio, request.yet_table);
+    if (config.ground_up_replay != nullptr) {
+      accesses.elt_lookups = 0;
+      accesses.financial_applications = 0;
+    }
     facts->accesses = accesses;
   }
 }

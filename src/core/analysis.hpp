@@ -36,7 +36,7 @@ enum class EngineKind {
   kOpenMp,          ///< OpenMP directives (falls back to thread pool)
   kSimd,            ///< lane-parallel batch engine (one trial per lane)
   kWindowed,        ///< sequential with a mid-year coverage window
-  kInstrumented,    ///< sequential with per-phase timers + access counters
+  kInstrumented,    ///< sequential, always collecting the Fig-6b phases
   kFused,           ///< trial-tiled single-pass engine: all layers per tile
 };
 
@@ -107,7 +107,7 @@ inline constexpr std::array<EnginePreset, 8> kEnginePresets{{
      .lanes = true},
     {.kind = EngineKind::kInstrumented,
      .name = "instrumented",
-     .summary = "sequential engine with Fig-6b phase timers and access counters",
+     .summary = "sequential engine that always collects the Fig-6b phase breakdown",
      .instrument = true},
 }};
 
@@ -151,8 +151,10 @@ struct InstrumentationSink {
   /// --verbose prints it.
   std::optional<std::string> simd_resolution_note;
 
-  /// Fig-6b phase attribution and memory-access counters, filled when the
-  /// run collected phases (collect_phases, or the instrumented preset).
+  /// Fig-6b phase attribution and the paper's access counts, filled when
+  /// the run collected phases (collect_phases, or the instrumented preset).
+  /// The counts are predict_access_counts(); on a delta replay its
+  /// elt_lookups and financial_applications are 0.
   std::optional<PhaseBreakdown> phases;
   std::optional<AccessCounts> accesses;
 };
@@ -234,8 +236,8 @@ struct AnalysisConfig {
 
   /// Request the Fig-6b phase breakdown; needs a non-null `instrumentation`
   /// sink to receive it. The instrumented preset always collects it; other
-  /// engines switch to the timer-instrumented (slower, bit-identical) block
-  /// path only when this is set, so the default hot path stays untimed.
+  /// engines stamp the phase boundaries in their block loop only when this
+  /// is set, so the default hot path stays untimed.
   bool collect_phases = false;
 
   /// Output placement. run() serves kMaterialized only; kSharded runs go

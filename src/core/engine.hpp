@@ -32,10 +32,20 @@ inline YearLossTable make_year_loss_table(const Portfolio& portfolio,
 /// tests pin every engine preset (core/analysis.hpp) against it.
 YearLossTable run_sequential(const Portfolio& portfolio, const yet::YearEventTable& yet_table);
 
-/// Phase attribution of an instrumented run (Fig 6b of the paper:
-/// event fetch / ELT lookup / financial terms / layer terms) plus an
-/// output phase for sink emission — zero on materialized runs (no sink),
-/// so the four Fig-6b fractions still sum to 1.0 there.
+/// Phase attribution of an instrumented run (Fig 6b of the paper: event
+/// fetch / ELT lookup / financial terms / layer terms, plus output). The
+/// kernel stamps the boundaries per chunk and layer in the block loop
+/// every run executes, so the phases time the production code:
+///   - fetch: 0 — the loop reads the YET in place, nothing is staged;
+///   - lookup: the combine — the sparse layer table's rows, the dense
+///     direct gathers, or the generic path's lookup_many calls;
+///   - financial: the generic path's fold of each ELT's raw losses through
+///     its terms. 0 on sparse and dense-direct layers, whose combine
+///     applies the ELT terms as it reads each loss;
+///   - layer: the occurrence and aggregate terms, or a delta replay's fold;
+///   - output: the ground-up capture plus the sink emit — 0 on materialized
+///     runs without a capture, so the four Fig-6b fractions sum to 1.0
+///     there.
 struct PhaseBreakdown {
   double fetch_seconds = 0.0;
   double lookup_seconds = 0.0;
@@ -70,10 +80,9 @@ struct AccessCounts {
   std::uint64_t layer_term_applications = 0;
 };
 
-/// Pure access-count prediction without running the simulation (used by the
-/// analytical models and asserted against an instrumented run's actual
-/// counters in tests). Access counts follow the paper's line-by-line
-/// algorithm.
+/// Access counts of the paper's line-by-line algorithm, a function of the
+/// inputs alone: the analytical models' input, and what an instrumented
+/// run reports (InstrumentationSink::accesses).
 AccessCounts predict_access_counts(const Portfolio& portfolio,
                                    const yet::YearEventTable& yet_table) noexcept;
 

@@ -34,6 +34,17 @@ namespace {
 /// new 64-bit word of the ground-up cache.
 constexpr std::uint64_t words_for(std::uint64_t events) noexcept { return (events + 63) / 64; }
 
+/// Adds a worker's phase timers into `phases` (null = not collecting) —
+/// the post-run merge step for parallel drivers.
+void collect_phases(const TrialKernelScratch& scratch, PhaseBreakdown* phases) noexcept {
+  if (phases == nullptr) return;
+  phases->fetch_seconds += scratch.phases.fetch_seconds;
+  phases->lookup_seconds += scratch.phases.lookup_seconds;
+  phases->financial_seconds += scratch.phases.financial_seconds;
+  phases->layer_seconds += scratch.phases.layer_seconds;
+  phases->output_seconds += scratch.phases.output_seconds;
+}
+
 /// The runtime dispatch table behind kernel construction. The scalar
 /// instantiation lives in THIS translation unit (compiled with the default
 /// flags — it must run anywhere the binary loads); every wider extension
@@ -150,23 +161,6 @@ void TrialBlockKernel::run_range(std::uint64_t first, std::uint64_t last,
 }
 
 std::size_t TrialBlockKernel::block_trials() const noexcept { return impl_->block_trials; }
-
-void TrialBlockKernel::collect(const TrialKernelScratch& scratch, PhaseBreakdown* phases,
-                               AccessCounts* accesses) noexcept {
-  if (phases != nullptr) {
-    phases->fetch_seconds += scratch.phases.fetch_seconds;
-    phases->lookup_seconds += scratch.phases.lookup_seconds;
-    phases->financial_seconds += scratch.phases.financial_seconds;
-    phases->layer_seconds += scratch.phases.layer_seconds;
-    phases->output_seconds += scratch.phases.output_seconds;
-  }
-  if (accesses != nullptr) {
-    accesses->events_fetched += scratch.accesses.events_fetched;
-    accesses->elt_lookups += scratch.accesses.elt_lookups;
-    accesses->financial_applications += scratch.accesses.financial_applications;
-    accesses->layer_term_applications += scratch.accesses.layer_term_applications;
-  }
-}
 
 // --- GroundUpLossCache ---------------------------------------------------------
 
@@ -285,8 +279,7 @@ std::size_t GroundUpLossCache::estimate_bytes(std::size_t num_layers,
 
 void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
                       const TrialKernelConfig& config, const KernelLaunch& launch,
-                      YearLossTable* ylt, YltSink* sink, PhaseBreakdown* phases,
-                      AccessCounts* accesses) {
+                      YearLossTable* ylt, YltSink* sink, PhaseBreakdown* phases) {
   // The kernel polls a driver-internal token chained to the caller's: a
   // worker that fails (spill error, alloc, deadline) cancels it, and every
   // other worker stops at its next block boundary instead of grinding out
@@ -297,7 +290,6 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
   kernel_config.cancel = &abort;
   const TrialBlockKernel kernel(portfolio, yet_table, kernel_config, ylt, sink);
   if (phases != nullptr) *phases = {};
-  if (accesses != nullptr) *accesses = {};
   const std::uint64_t num_trials = yet_table.num_trials();
   if (num_trials == 0) {
     if (config.ground_up_capture != nullptr) config.ground_up_capture->seal();
@@ -327,7 +319,7 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
     case KernelLaunch::Schedule::kSerial: {
       TrialKernelScratch scratch;
       kernel.run_range(0, num_trials, scratch);
-      TrialBlockKernel::collect(scratch, phases, accesses);
+      collect_phases(scratch, phases);
       break;
     }
     case KernelLaunch::Schedule::kPool:
@@ -367,7 +359,7 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
       }
       if (failure) std::rethrow_exception(failure);
       scratches.for_each([&](const TrialKernelScratch& scratch) {
-        TrialBlockKernel::collect(scratch, phases, accesses);
+        collect_phases(scratch, phases);
       });
       break;
     }
@@ -399,7 +391,7 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
           }
         }
 #pragma omp critical(are_trial_kernel_collect)
-        TrialBlockKernel::collect(scratch, phases, accesses);
+        collect_phases(scratch, phases);
       }
       if (failure) std::rethrow_exception(failure);
 #endif

@@ -11,7 +11,7 @@
 //   - scalar and simd::VecD term paths (one templated body; the lane type is
 //     a runtime choice, resolved once at kernel construction),
 //   - an optional CoverageWindow (mid-year coverage),
-//   - optional per-phase timers + access counters (the Fig-6b breakdown),
+//   - optional per-phase timers (the Fig-6b breakdown),
 //   - optional event-chunked staging (the chunked engine's Fig-5a knob),
 //   - delivery either straight into a YearLossTable or into a YltSink
 //     (finished blocks never cross sink.block_trials() boundaries, so a
@@ -190,10 +190,10 @@ struct TrialKernelConfig {
   /// 0 = stage the whole block at once. Never changes the output bytes.
   std::size_t event_chunk = 0;
 
-  /// Run the timer-instrumented block path: the same arithmetic (identical
-  /// bytes) with the block's YET slice explicitly staged (timed as the
-  /// fetch phase), per-phase timers around the lookup/financial/layer
-  /// sweeps, and the paper's access counts accumulated per scratch.
+  /// Stamp the Fig-6b phase boundaries in the block loop, per chunk and
+  /// layer, into each worker's TrialKernelScratch::phases. The loop is the
+  /// one every launch runs, so the bytes and the work do not change;
+  /// PhaseBreakdown defines what each phase covers.
   bool instrument = false;
 
   /// Capture: every block additionally hands this cache its combined
@@ -231,13 +231,10 @@ struct TrialKernelConfig {
 struct TrialKernelScratch {
   std::vector<double> raw;       // one ELT's batch lookups for the block
   std::vector<double> combined;  // per-event combined loss, then net of occurrence terms
-  std::vector<double> block_losses;         // sink mode: layers x block trials, emitted per block
-  std::vector<yet::EventId> staged_events;  // instrumented mode: the block's staged YET slice
-  std::vector<float> staged_times;
+  std::vector<double> block_losses;          // sink mode: layers x block trials, emitted per block
   std::vector<std::uint64_t> capture_words;  // capture: one layer's bitmap words for the block
   std::vector<double> capture_values;        // capture: one layer's packed losses for the block
-  PhaseBreakdown phases;    // instrumented mode: this worker's share
-  AccessCounts accesses;    // instrumented mode: this worker's share
+  PhaseBreakdown phases;                     // instrumented mode: this worker's share
 };
 
 /// The kernel: immutable per-run execution state (per-layer direct views,
@@ -270,12 +267,6 @@ class TrialBlockKernel {
 
   /// The extension this kernel executes (config.extension).
   simd::Extension extension() const noexcept { return extension_; }
-
-  /// Adds an instrumented scratch's phase timers and access counts into the
-  /// given accumulators (either may be null) — the post-run merge step for
-  /// parallel drivers.
-  static void collect(const TrialKernelScratch& scratch, PhaseBreakdown* phases,
-                      AccessCounts* accesses) noexcept;
 
   /// Lane-width erasure (public so the .cpp's extension-templated bodies
   /// can derive from it; opaque to callers).
@@ -312,13 +303,11 @@ struct KernelLaunch {
 
 /// The one kernel entry point: builds the kernel, schedules it per
 /// `launch`, and (for instrumented configs) merges every worker's phase
-/// timers and access counts into `phases` / `accesses` (assigned, not
-/// accumulated; may be null). Exactly one of `ylt` / `sink` must be
-/// non-null.
+/// timers into `phases` (assigned, not accumulated; may be null). Exactly
+/// one of `ylt` / `sink` must be non-null.
 void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
                       const TrialKernelConfig& config, const KernelLaunch& launch,
-                      YearLossTable* ylt, YltSink* sink, PhaseBreakdown* phases = nullptr,
-                      AccessCounts* accesses = nullptr);
+                      YearLossTable* ylt, YltSink* sink, PhaseBreakdown* phases = nullptr);
 
 /// The block-size heuristic behind TrialKernelConfig::block_trials == 0
 /// (historically the fused engine's tile heuristic): sizes the block so its

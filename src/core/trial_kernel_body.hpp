@@ -55,10 +55,26 @@ namespace {
 
 using KernelBodyClock = std::chrono::steady_clock;
 
-inline double kernel_seconds_between(KernelBodyClock::time_point a,
-                                     KernelBodyClock::time_point b) noexcept {
-  return std::chrono::duration<double>(b - a).count();
-}
+/// The phase stamps of one block, taken only on instrumented launches
+/// (`phases` non-null): charge() adds the time since the previous stamp to
+/// one PhaseBreakdown field. Off, each call is one predicted branch.
+class PhaseStamps {
+ public:
+  explicit PhaseStamps(PhaseBreakdown* phases) noexcept : phases_(phases) {
+    if (phases_ != nullptr) last_ = KernelBodyClock::now();
+  }
+
+  void charge(double PhaseBreakdown::*phase) noexcept {
+    if (phases_ == nullptr) return;
+    const KernelBodyClock::time_point now = KernelBodyClock::now();
+    phases_->*phase += std::chrono::duration<double>(now - last_).count();
+    last_ = now;
+  }
+
+ private:
+  PhaseBreakdown* phases_;
+  KernelBodyClock::time_point last_{};
+};
 
 /// Immutable per-layer execution state hoisted out of the block loop: how
 /// the layer's ELTs are combined (sparse table, dense direct gathers, or
@@ -119,8 +135,7 @@ void combine_elts_direct(const LayerPlan<V>& plan, const yet::EventId* events, s
 }
 
 /// One ELT's staged raw losses folded into the combined buffer with the
-/// vectorized financial terms; shared by the generic and the instrumented
-/// paths (identical arithmetic, hence identical bytes).
+/// vectorized financial terms.
 template <typename V>
 void fold_raw_losses(const LayerPlan<V>& plan, std::size_t e, const double* raw,
                      std::size_t count, double* combined) noexcept {
@@ -144,10 +159,12 @@ void fold_raw_losses(const LayerPlan<V>& plan, std::size_t e, const double* raw,
 
 /// Generic path: one lookup_many batch call per ELT (the prefetching
 /// overrides in src/elt/), then the vectorized financial terms over the
-/// staged raw losses.
+/// staged raw losses — the one path whose lookup and financial phases are
+/// apart.
 template <typename V>
 void combine_elts_generic(const LayerPlan<V>& plan, const yet::EventId* events,
-                          std::size_t count, double* combined, std::vector<double>& raw) {
+                          std::size_t count, double* combined, std::vector<double>& raw,
+                          PhaseStamps& stamps) {
   raw.resize(count);
   const std::vector<LayerElt>& elts = plan.layer->elts;
   for (std::size_t e = 0; e < elts.size(); ++e) {
@@ -155,7 +172,9 @@ void combine_elts_generic(const LayerPlan<V>& plan, const yet::EventId* events,
       obs::Span span("elt.lookup_many", "elt");
       elts[e].lookup->lookup_many(events, count, raw.data());
     }
+    stamps.charge(&PhaseBreakdown::lookup_seconds);
     fold_raw_losses(plan, e, raw.data(), count, combined);
+    stamps.charge(&PhaseBreakdown::financial_seconds);
   }
 }
 
@@ -299,6 +318,15 @@ class KernelImpl final : public TrialBlockKernel::Impl {
       const Layer& layer = portfolio.layers[layer_index];
       LayerPlan<V> plan;
       plan.layer = &layer;
+      plan.terms = detail::LayerTermsV<V>::from(layer.terms);
+      if (ylt != nullptr) plan.losses = ylt->layer_losses(layer_index);
+      if (replay_ != nullptr) {
+        // A replay reads the ground-up cache, never the ELTs: no lookup
+        // tables to build.
+        plan.replay = replay_->layer(layer_index);
+        plans_.push_back(std::move(plan));
+        continue;
+      }
       if (SparseLayerTable::wanted(layer)) {
         obs::Span span("kernel.sparse_layer_build", "kernel");
         plan.sparse = std::make_unique<const SparseLayerTable>(layer);
@@ -310,9 +338,6 @@ class KernelImpl final : public TrialBlockKernel::Impl {
       for (const LayerElt& layer_elt : layer.elts) {
         plan.elt_terms.push_back(detail::EltTermsV<V>::from(layer_elt.terms));
       }
-      plan.terms = detail::LayerTermsV<V>::from(layer.terms);
-      if (ylt != nullptr) plan.losses = ylt->layer_losses(layer_index);
-      if (replay_ != nullptr) plan.replay = replay_->layer(layer_index);
       plans_.push_back(std::move(plan));
     }
   }
@@ -351,8 +376,8 @@ class KernelImpl final : public TrialBlockKernel::Impl {
       }
       // The sparse and dense-gather paths bypass lookup_many and its
       // counter, so their ELT lookups (layers x ELTs x events) are counted
-      // here; instrumented and replay blocks make none of these.
-      if (direct_elts_ != 0 && !instrument_ && replay_ == nullptr) {
+      // here; a replay has no such layers (direct_elts_ == 0).
+      if (direct_elts_ != 0) {
         registry.counter("elt.direct_access.lookups")
             .add(direct_elts_ * (offsets[up_to] - offsets[first]));
       }
@@ -408,7 +433,8 @@ class KernelImpl final : public TrialBlockKernel::Impl {
 
  private:
   /// Runs trials [t0, t1) of every layer; returns the ground-up entries a
-  /// replay folded (0 otherwise).
+  /// replay folded (0 otherwise). An instrumented launch stamps the phase
+  /// boundaries per chunk and layer (PhaseBreakdown has the definitions).
   std::uint64_t run_block(std::uint64_t t0, std::uint64_t t1,
                           TrialKernelScratch& scratch) const {
     const std::span<const std::uint64_t> offsets = yet_->offsets();
@@ -419,12 +445,17 @@ class KernelImpl final : public TrialBlockKernel::Impl {
     const std::size_t num_block_trials = static_cast<std::size_t>(t1 - t0);
     if (fault::should_inject(fault::sites::kKernelAlloc)) throw std::bad_alloc();
     if (sink_ != nullptr) scratch.block_losses.resize(plans_.size() * num_block_trials);
+    PhaseStamps stamps(instrument_ ? &scratch.phases : nullptr);
     std::uint64_t folded = 0;
 
     if (replay_ != nullptr) {
-      folded = replay_block(t0, t1, count, scratch);
-    } else if (instrument_) {
-      run_block_instrumented(t0, t1, ev0, count, events, times, offsets, scratch);
+      for (std::size_t layer_index = 0; layer_index < plans_.size(); ++layer_index) {
+        folded += replay_trials<V>(plans_[layer_index], replay_->word_starts(),
+                                   yet_->times().data(), window_, offsets, t0, t1,
+                                   scratch.combined,
+                                   layer_row(layer_index, t0, num_block_trials, scratch));
+        stamps.charge(&PhaseBreakdown::layer_seconds);
+      }
     } else {
       const std::size_t chunk = event_chunk_ != 0 ? event_chunk_ : count;
       scratch.combined.resize(count);
@@ -435,47 +466,51 @@ class KernelImpl final : public TrialBlockKernel::Impl {
         // occurrence terms — staged in event_chunk-bounded spans (the whole
         // block when unconstrained).
         std::uint64_t capture_trial = t0;
-        if (capture_ != nullptr) begin_capture(t0, t1, scratch);
+        if (capture_ != nullptr) {
+          begin_capture(t0, t1, scratch);
+          stamps.charge(&PhaseBreakdown::output_seconds);
+        }
         for (std::size_t c0 = 0; c0 < count; c0 += chunk) {
           const std::size_t n = std::min(chunk, count - c0);
           if (plan.sparse) {
             plan.sparse->combine(events + c0, n, combined + c0);
+            stamps.charge(&PhaseBreakdown::lookup_seconds);
           } else if (!plan.direct.empty()) {
             combine_elts_direct<V>(plan, events + c0, n, combined + c0);
+            stamps.charge(&PhaseBreakdown::lookup_seconds);
           } else {
-            combine_elts_generic<V>(plan, events + c0, n, combined + c0, scratch.raw);
+            combine_elts_generic<V>(plan, events + c0, n, combined + c0, scratch.raw, stamps);
           }
           if (capture_ != nullptr) {
             // Capture between combine and the in-place occurrence terms:
             // this chunk's slice is final combined losses right here.
             capture_chunk(combined, c0, n, offsets, capture_->word_starts(), t0, capture_trial,
                           scratch.capture_words.data(), scratch.capture_values);
+            stamps.charge(&PhaseBreakdown::output_seconds);
           }
           apply_occurrence_terms<V>(plan, combined + c0, n);
+          stamps.charge(&PhaseBreakdown::layer_seconds);
         }
         if (capture_ != nullptr) {
           capture_->add_segment(layer_index, t0, t1, scratch.capture_words,
                                 scratch.capture_values);
+          stamps.charge(&PhaseBreakdown::output_seconds);
         }
         aggregate_trials(plan.layer->terms, combined, times, window_, offsets, t0, t1, ev0,
                          layer_row(layer_index, t0, num_block_trials, scratch));
+        stamps.charge(&PhaseBreakdown::layer_seconds);
       }
     }
 
     if (sink_ != nullptr) {
-      // The output phase: sink emission (a memcpy for a materialized sink,
-      // a shard pin + scatter — possibly faulting — for a sharded one) was
-      // previously unattributed on instrumented runs.
-      const auto emit_start = instrument_ ? KernelBodyClock::now() : KernelBodyClock::time_point{};
+      // Sink emission: a memcpy for a materialized sink, a shard pin +
+      // scatter (possibly faulting) for a sharded one.
       for (std::size_t layer_index = 0; layer_index < plans_.size(); ++layer_index) {
         sink_->emit(layer_index, t0,
                     {scratch.block_losses.data() + layer_index * num_block_trials,
                      num_block_trials});
       }
-      if (instrument_) {
-        scratch.phases.output_seconds +=
-            kernel_seconds_between(emit_start, KernelBodyClock::now());
-      }
+      stamps.charge(&PhaseBreakdown::output_seconds);
     }
     return folded;
   }
@@ -488,99 +523,12 @@ class KernelImpl final : public TrialBlockKernel::Impl {
                             : plans_[layer_index].losses.data() + t0;
   }
 
-  /// Delta execution: every layer folds its present cached losses; the
-  /// fetch, lookup and financial phases never run. An instrumented block
-  /// times the replay as the layer phase. Returns the entries folded.
-  std::uint64_t replay_block(std::uint64_t t0, std::uint64_t t1, std::size_t count,
-                             TrialKernelScratch& scratch) const {
-    const std::size_t num_block_trials = static_cast<std::size_t>(t1 - t0);
-    std::uint64_t folded = 0;
-    for (std::size_t layer_index = 0; layer_index < plans_.size(); ++layer_index) {
-      const auto stamp = instrument_ ? KernelBodyClock::now() : KernelBodyClock::time_point{};
-      folded += replay_trials<V>(plans_[layer_index], replay_->word_starts(),
-                                 yet_->times().data(), window_, yet_->offsets(), t0, t1,
-                                 scratch.combined,
-                                 layer_row(layer_index, t0, num_block_trials, scratch));
-      if (instrument_) {
-        scratch.phases.layer_seconds += kernel_seconds_between(stamp, KernelBodyClock::now());
-        scratch.accesses.events_fetched += count;
-        scratch.accesses.layer_term_applications += 2 * count;  // occurrence + aggregate
-      }
-    }
-    return folded;
-  }
-
   /// Resets the scratch capture segment for one layer of block [t0, t1):
   /// zeroed bitmap words, no values.
   void begin_capture(std::uint64_t t0, std::uint64_t t1, TrialKernelScratch& scratch) const {
     const std::span<const std::uint64_t> word_starts = capture_->word_starts();
     scratch.capture_words.assign(static_cast<std::size_t>(word_starts[t1] - word_starts[t0]), 0);
     scratch.capture_values.clear();
-  }
-
-  /// Instrumented block: the same arithmetic as the fast path (the YLT
-  /// bytes do not change — direct layers route through their lookup_many
-  /// overrides, which read the same losses the gathers and the sparse
-  /// layer tables do, though not at the same memory cost) with the
-  /// block's YET slice explicitly staged once (timed as the fetch phase)
-  /// and per-phase timers around the batched lookup / financial / layer
-  /// sweeps. Access counters follow the paper's algorithmic counts (one
-  /// event fetch per layer per event, as the un-fused algorithm performs
-  /// them), matching predict_access_counts.
-  void run_block_instrumented(std::uint64_t t0, std::uint64_t t1, std::uint64_t ev0,
-                              std::size_t count, const yet::EventId* events, const float* times,
-                              std::span<const std::uint64_t> offsets,
-                              TrialKernelScratch& scratch) const {
-    PhaseBreakdown& phases = scratch.phases;
-    const std::size_t num_block_trials = static_cast<std::size_t>(t1 - t0);
-
-    auto stamp = KernelBodyClock::now();
-    scratch.staged_events.assign(events, events + count);
-    scratch.staged_times.assign(times, times + count);
-    auto now = KernelBodyClock::now();
-    phases.fetch_seconds += kernel_seconds_between(stamp, now);
-
-    scratch.combined.resize(count);
-    double* combined = scratch.combined.data();
-    scratch.raw.resize(count);
-
-    for (std::size_t layer_index = 0; layer_index < plans_.size(); ++layer_index) {
-      const LayerPlan<V>& plan = plans_[layer_index];
-      const std::vector<LayerElt>& elts = plan.layer->elts;
-      scratch.accesses.events_fetched += count;
-      for (std::size_t e = 0; e < elts.size(); ++e) {
-        stamp = KernelBodyClock::now();
-        {
-          obs::Span span("elt.lookup_many", "elt");
-          elts[e].lookup->lookup_many(scratch.staged_events.data(), count, scratch.raw.data());
-        }
-        now = KernelBodyClock::now();
-        phases.lookup_seconds += kernel_seconds_between(stamp, now);
-        fold_raw_losses<V>(plan, e, scratch.raw.data(), count, combined);
-        phases.financial_seconds += kernel_seconds_between(now, KernelBodyClock::now());
-      }
-      scratch.accesses.elt_lookups += elts.size() * count;
-      scratch.accesses.financial_applications += elts.size() * count;
-      if (capture_ != nullptr) {
-        // The combined buffer is final pre-occurrence right here; the
-        // capture is data placement, so it lands in the output phase.
-        stamp = KernelBodyClock::now();
-        std::uint64_t capture_trial = t0;
-        begin_capture(t0, t1, scratch);
-        capture_chunk(combined, 0, count, offsets, capture_->word_starts(), t0, capture_trial,
-                      scratch.capture_words.data(), scratch.capture_values);
-        capture_->add_segment(layer_index, t0, t1, scratch.capture_words,
-                              scratch.capture_values);
-        phases.output_seconds += kernel_seconds_between(stamp, KernelBodyClock::now());
-      }
-
-      stamp = KernelBodyClock::now();
-      apply_occurrence_terms<V>(plan, combined, count);
-      aggregate_trials(plan.layer->terms, combined, scratch.staged_times.data(), window_,
-                       offsets, t0, t1, ev0, layer_row(layer_index, t0, num_block_trials, scratch));
-      phases.layer_seconds += kernel_seconds_between(stamp, KernelBodyClock::now());
-      scratch.accesses.layer_term_applications += 2 * count;  // occurrence + aggregate
-    }
   }
 
   std::vector<LayerPlan<V>> plans_;

@@ -231,8 +231,11 @@ TEST(FusedEngine, TileHeuristicShrinksWithDenserTrials) {
 
 // --- Per-phase instrumentation ------------------------------------------------
 
-TEST(FusedEngine, CollectPhasesFillsBreakdownAndKeepsBytes) {
-  const Portfolio portfolio = synthetic_portfolio(2, 3);
+class FusedPhases : public ::testing::TestWithParam<elt::LookupKind> {};
+
+TEST_P(FusedPhases, CollectPhasesFillsBreakdownAndKeepsBytes) {
+  const elt::LookupKind kind = GetParam();
+  const Portfolio portfolio = synthetic_portfolio(2, 3, kind);
   const auto yet_table = skewed_yet(300, 50.0);
   const auto sequential = core::run_sequential(portfolio, yet_table);
 
@@ -247,11 +250,17 @@ TEST(FusedEngine, CollectPhasesFillsBreakdownAndKeepsBytes) {
 
   ASSERT_TRUE(sink.phases.has_value());
   EXPECT_GT(sink.phases->total_seconds(), 0.0);
-  // Every batched phase ran: the staged fetch, the lookup_many batches,
-  // the vector financial fold, and the occurrence + aggregate sweep.
   EXPECT_GT(sink.phases->lookup_seconds, 0.0);
-  EXPECT_GT(sink.phases->financial_seconds, 0.0);
   EXPECT_GT(sink.phases->layer_seconds, 0.0);
+  // The loop reads the YET in place: nothing is fetched into staging.
+  EXPECT_EQ(sink.phases->fetch_seconds, 0.0);
+  if (kind == elt::LookupKind::kDirectAccess) {
+    // Dense direct gathers apply the ELT terms as they read each loss.
+    EXPECT_EQ(sink.phases->financial_seconds, 0.0);
+  } else {
+    // The generic path folds each lookup_many batch through the terms.
+    EXPECT_GT(sink.phases->financial_seconds, 0.0);
+  }
 
   // Without collect_phases the sink records the engine but no breakdown
   // (the fused hot path stays untimed by default).
@@ -262,6 +271,10 @@ TEST(FusedEngine, CollectPhasesFillsBreakdownAndKeepsBytes) {
   EXPECT_FALSE(quiet.phases.has_value());
   EXPECT_EQ(quiet.engine_used, core::EngineKind::kFused);
 }
+
+INSTANTIATE_TEST_SUITE_P(Lookups, FusedPhases,
+                         ::testing::Values(elt::LookupKind::kRobinHood,
+                                           elt::LookupKind::kDirectAccess));
 
 TEST(FusedEngine, CollectPhasesWorksOnEveryKernelEngine) {
   const Portfolio portfolio = synthetic_portfolio(1, 1);

@@ -174,8 +174,8 @@ TEST_F(Service, ReplaySkipsLookupAndFinancialPhasesEntirely) {
 
   obs::set_enabled(true);
   {
-    // Instrumented capture: the instrumented block path routes direct
-    // layers through lookup_many, so the lookup counters tick.
+    // Instrumented capture: the kernel counts the direct layers' lookups
+    // (layers x ELTs x events), instrumented or not.
     core::AnalysisConfig config;
     config.engine = core::EngineKind::kInstrumented;
     config.ground_up_capture = &cache;

@@ -11,13 +11,17 @@
 #include <cstring>
 #include <random>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "core/analysis.hpp"
 #include "core/sparse_layer.hpp"
 #include "core/trial_kernel.hpp"
 #include "elt/synthetic.hpp"
 #include "financial/trial_accumulator.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
 #include "shard/sharded_ylt.hpp"
 #include "yet/generator.hpp"
 
@@ -538,6 +542,71 @@ TEST(SparseLayerPath, CaptureThenReplayEqualsAColdRun) {
   retermed.layers[1].terms = financial::LayerTerms::aggregate_xl(0.0, -0.0);
   expect_identical(reference_ylt(retermed, in.yet_table),
                    run_kernel(retermed, in.yet_table, config, launch));
+}
+
+/// Spans named `name` (their 'B' events) in the global trace buffer.
+std::size_t trace_spans(const std::string& name) {
+  std::ostringstream out;
+  obs::TraceBuffer::global().write_chrome_json(out);
+  std::istringstream lines(out.str());
+  const std::string begin = "{\"name\":\"" + name + "\",\"cat\":\"";
+  std::size_t spans = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(begin, 0) == 0 && line.find("\"ph\":\"B\"") != std::string::npos) ++spans;
+  }
+  return spans;
+}
+
+TEST(SparseLayerPath, BuiltByACaptureButNotByAReplay) {
+  const MemoryBoundInputs& in = memory_bound();
+  Portfolio one_layer = in.direct;
+  one_layer.layers.resize(1);  // 10.4 MB of dense direct tables
+  ASSERT_TRUE(core::SparseLayerTable::wanted(one_layer.layers[0]));
+  core::GroundUpLossCache cache(1, in.yet_table);
+  core::AnalysisConfig config;
+  config.engine = core::EngineKind::kFused;
+  config.num_threads = 2;
+  config.telemetry.trace = true;
+  config.ground_up_capture = &cache;
+  obs::TraceBuffer::global().clear();
+  const auto cold = core::run({one_layer, in.yet_table, config});
+  EXPECT_EQ(trace_spans("kernel.sparse_layer_build"), 1u);
+
+  // A replay reads the ground-up cache only: no table to build.
+  config.ground_up_capture = nullptr;
+  config.ground_up_replay = &cache;
+  obs::TraceBuffer::global().clear();
+  expect_identical(cold, core::run({one_layer, in.yet_table, config}));
+  EXPECT_EQ(trace_spans("kernel.sparse_layer_build"), 0u);
+  EXPECT_GT(trace_spans("kernel.launch"), 0u);
+  obs::TraceBuffer::global().clear();
+}
+
+TEST(SparseLayerPath, CollectPhasesTimesTheProductionLoop) {
+  const MemoryBoundInputs& in = memory_bound();
+  core::InstrumentationSink sink;
+  core::AnalysisConfig config;
+  config.engine = core::EngineKind::kFused;
+  config.num_threads = 3;
+  config.collect_phases = true;
+  config.instrumentation = &sink;
+  config.telemetry.counters = true;
+  config.telemetry.trace = true;
+  obs::TelemetryRegistry::global().reset();
+  obs::TraceBuffer::global().clear();
+  expect_identical(core::run_sequential(in.direct, in.yet_table),
+                   core::run({in.direct, in.yet_table, config}));
+
+  // The timed run takes the sparse rows, as production does: no
+  // lookup_many batch, and the kernel counts every ELT lookup once.
+  EXPECT_EQ(trace_spans("elt.lookup_many"), 0u);
+  std::uint64_t elts = 0;
+  for (const core::Layer& layer : in.direct.layers) elts += layer.elts.size();
+  EXPECT_EQ(obs::TelemetryRegistry::global().snapshot().counter_value("elt.direct_access.lookups"),
+            elts * in.yet_table.total_events());
+  ASSERT_TRUE(sink.phases.has_value());
+  EXPECT_GT(sink.phases->lookup_seconds, 0.0);
+  obs::TraceBuffer::global().clear();
 }
 
 // --- Delta replay from the sparse ground-up cache -----------------------------

@@ -138,7 +138,8 @@ common options:
                 --tile N (trials per tile, for --engine fused; 0 = auto heuristic)
   simd          --simd-ext auto|scalar|sse2|avx2|avx512|neon (lane type for --engine simd)
   window        --window FROM:TO  (fractions of the year, for --engine windowed|fused)
-  phases        --phases  (Fig-6b phase breakdown to stderr; instrumented/fused)
+  phases        --phases  (Fig-6b phase breakdown to stderr, any engine; timed in
+                the loop every run executes, so output bytes do not change)
   lookup        --lookup direct|sorted|robinhood|cuckoo
   output        --output materialized|sharded  (sharded = out-of-core YLT)
                 --shard-trials N --spill-dir PATH --memory-budget-mb M (0 = unlimited)

@@ -37,11 +37,12 @@ YearLossTable run_sequential(const Portfolio& portfolio, const yet::YearEventTab
 /// kernel stamps the boundaries per chunk and layer in the block loop
 /// every run executes, so the phases time the production code:
 ///   - fetch: 0 — the loop reads the YET in place, nothing is staged;
-///   - lookup: the combine — the sparse layer table's rows, the dense
-///     direct gathers, or the generic path's lookup_many calls;
-///   - financial: the generic path's fold of each ELT's raw losses through
-///     its terms. 0 on sparse and dense-direct layers, whose combine
-///     applies the ELT terms as it reads each loss;
+///   - lookup: the combine — the pre-folded layer table's rows, or the
+///     dense direct gathers of a cache-resident all-direct layer;
+///   - financial: 0 on every layer. The folded table applied the ELT terms
+///     when the launch built it, and the dense gathers apply them as they
+///     read each loss, so both fall in lookup (the field keeps the
+///     paper's Fig-6b shape);
 ///   - layer: the occurrence and aggregate terms, or a delta replay's fold;
 ///   - output: the ground-up capture plus the sink emit — 0 on materialized
 ///     runs without a capture, so the four Fig-6b fractions sum to 1.0

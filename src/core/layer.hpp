@@ -37,7 +37,7 @@ struct Layer {
   /// True when every ELT of this layer is a plain direct access table — the
   /// precondition for the engines' raw-pointer fast path. Decorated tables
   /// (e.g. severity-stressed wrappers) intentionally fail this check and
-  /// take the virtual path.
+  /// run from the folded layer table (core::SparseLayerTable).
   bool all_direct_access() const noexcept {
     for (const LayerElt& layer_elt : elts) {
       if (!layer_elt.lookup || layer_elt.lookup->as_direct_access() == nullptr) {

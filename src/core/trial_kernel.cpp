@@ -423,7 +423,7 @@ std::size_t default_tile_trials(const Portfolio& portfolio,
                                 const yet::YearEventTable& yet_table) noexcept {
   // Per staged event a block touches ~20 bytes across the batched phases:
   // the event id (4 B) + timestamp (4 B) + combined-loss entry (8 B), plus
-  // amortised shares of the raw-lookup buffer on the generic path.
+  // slack for the block's other scratch (sink rows, capture segment).
   constexpr double kBytesPerEvent = 20.0;
   constexpr std::size_t kCacheResident = std::size_t{2} << 20;
 

@@ -229,7 +229,6 @@ struct TrialKernelConfig {
 /// high-water mark during the first blocks, then the hot path allocates
 /// nothing.
 struct TrialKernelScratch {
-  std::vector<double> raw;       // one ELT's batch lookups for the block
   std::vector<double> combined;  // per-event combined loss, then net of occurrence terms
   std::vector<double> block_losses;          // sink mode: layers x block trials, emitted per block
   std::vector<std::uint64_t> capture_words;  // capture: one layer's bitmap words for the block

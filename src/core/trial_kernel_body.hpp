@@ -77,29 +77,29 @@ class PhaseStamps {
 };
 
 /// Immutable per-layer execution state hoisted out of the block loop: how
-/// the layer's ELTs are combined (sparse table, dense direct gathers, or
-/// the generic lookup_many path), the ELT/layer terms broadcast into
-/// registers once, and the layer's YLT row (empty in sink mode, where block
+/// the layer's ELTs are combined (the pre-folded sparse table, or dense
+/// direct gathers with the ELT terms broadcast into registers once), the
+/// layer terms, and the layer's YLT row (empty in sink mode, where block
 /// rows are staged and emitted instead).
 template <typename V>
 struct LayerPlan {
   const Layer* layer;
-  // All-direct layers: the sparse event-major table when the dense tables
-  // outgrow the cache (SparseLayerTable::wanted), else the dense view.
+  // Exactly one route per full run: the folded table
+  // (SparseLayerTable::wanted), else a cache-resident all-direct layer's
+  // dense view. A replay has neither.
   std::unique_ptr<const SparseLayerTable> sparse;
   std::vector<detail::DirectElt> direct;
-  std::vector<detail::EltTermsV<V>> elt_terms;
+  std::vector<detail::EltTermsV<V>> elt_terms;  // the dense view's terms
   detail::LayerTermsV<V> terms;
   std::span<double> losses;
   GroundUpLossCache::LayerView replay;  // delta execution: this layer's cached losses
 };
 
-/// Combined ELT loss per event over the staged span, direct-table fast
-/// path for cache-resident layers (memory-bound ones use their
-/// SparseLayerTable): guarded gathers straight out of the (untransposed)
-/// YET event slice. The first ELT writes, later ELTs accumulate — same
-/// per-event summation order as the scalar reference (0.0 + x == x
-/// exactly for the engine's domain).
+/// Combined ELT loss per event over the staged span for cache-resident
+/// all-direct layers (every other layer uses its SparseLayerTable): guarded
+/// gathers straight out of the (untransposed) YET event slice. The first
+/// ELT writes, later ELTs accumulate — same per-event summation order as
+/// the scalar reference (0.0 + x == x exactly for the engine's domain).
 template <typename V>
 void combine_elts_direct(const LayerPlan<V>& plan, const yet::EventId* events, std::size_t count,
                          double* combined) noexcept {
@@ -131,50 +131,6 @@ void combine_elts_direct(const LayerPlan<V>& plan, const yet::EventId* events, s
         combined[i] += terms.apply(event < direct.universe ? direct.data[event] : 0.0);
       }
     }
-  }
-}
-
-/// One ELT's staged raw losses folded into the combined buffer with the
-/// vectorized financial terms.
-template <typename V>
-void fold_raw_losses(const LayerPlan<V>& plan, std::size_t e, const double* raw,
-                     std::size_t count, double* combined) noexcept {
-  constexpr std::size_t kW = V::kLanes;
-  const detail::EltTermsV<V>& terms_v = plan.elt_terms[e];
-  const financial::FinancialTerms& terms = plan.layer->elts[e].terms;
-  std::size_t i = 0;
-  if (e == 0) {
-    for (; i + kW <= count; i += kW) {
-      V::store(combined + i, detail::apply_financial_v<V>(V::load(raw + i), terms_v));
-    }
-    for (; i < count; ++i) combined[i] = terms.apply(raw[i]);
-  } else {
-    for (; i + kW <= count; i += kW) {
-      V::store(combined + i, V::add(V::load(combined + i),
-                                    detail::apply_financial_v<V>(V::load(raw + i), terms_v)));
-    }
-    for (; i < count; ++i) combined[i] += terms.apply(raw[i]);
-  }
-}
-
-/// Generic path: one lookup_many batch call per ELT (the prefetching
-/// overrides in src/elt/), then the vectorized financial terms over the
-/// staged raw losses — the one path whose lookup and financial phases are
-/// apart.
-template <typename V>
-void combine_elts_generic(const LayerPlan<V>& plan, const yet::EventId* events,
-                          std::size_t count, double* combined, std::vector<double>& raw,
-                          PhaseStamps& stamps) {
-  raw.resize(count);
-  const std::vector<LayerElt>& elts = plan.layer->elts;
-  for (std::size_t e = 0; e < elts.size(); ++e) {
-    {
-      obs::Span span("elt.lookup_many", "elt");
-      elts[e].lookup->lookup_many(events, count, raw.data());
-    }
-    stamps.charge(&PhaseBreakdown::lookup_seconds);
-    fold_raw_losses(plan, e, raw.data(), count, combined);
-    stamps.charge(&PhaseBreakdown::financial_seconds);
   }
 }
 
@@ -330,13 +286,18 @@ class KernelImpl final : public TrialBlockKernel::Impl {
       if (SparseLayerTable::wanted(layer)) {
         obs::Span span("kernel.sparse_layer_build", "kernel");
         plan.sparse = std::make_unique<const SparseLayerTable>(layer);
-      } else if (layer.all_direct_access()) {
+      } else {
         plan.direct = detail::direct_view(layer);
+        plan.elt_terms.reserve(layer.elts.size());
+        for (const LayerElt& layer_elt : layer.elts) {
+          plan.elt_terms.push_back(detail::EltTermsV<V>::from(layer_elt.terms));
+        }
       }
-      if (plan.sparse || !plan.direct.empty()) direct_elts_ += layer.elts.size();
-      plan.elt_terms.reserve(layer.elts.size());
-      for (const LayerElt& layer_elt : layer.elts) {
-        plan.elt_terms.push_back(detail::EltTermsV<V>::from(layer_elt.terms));
+      if (obs::enabled()) {
+        for (const LayerElt& layer_elt : layer.elts) {
+          elt_lookups_.push_back(&obs::TelemetryRegistry::global().counter(
+              "elt." + std::string(elt::to_string(layer_elt.lookup->kind())) + ".lookups"));
+        }
       }
       plans_.push_back(std::move(plan));
     }
@@ -374,13 +335,10 @@ class KernelImpl final : public TrialBlockKernel::Impl {
         registry.counter("kernel.ground_up.captured_events")
             .add(offsets[up_to] - offsets[first]);
       }
-      // The sparse and dense-gather paths bypass lookup_many and its
-      // counter, so their ELT lookups (layers x ELTs x events) are counted
-      // here; a replay has no such layers (direct_elts_ == 0).
-      if (direct_elts_ != 0) {
-        registry.counter("elt.direct_access.lookups")
-            .add(direct_elts_ * (offsets[up_to] - offsets[first]));
-      }
+      // Neither route calls lookup_many, so the ELT lookups (one per ELT
+      // per event) are counted here, under each ELT's kind; a replay has
+      // none.
+      for (obs::Counter* lookups : elt_lookups_) lookups->add(offsets[up_to] - offsets[first]);
     };
 
     for (std::uint64_t t0 = first, t1 = first; t0 < last; t0 = t1) {
@@ -462,7 +420,7 @@ class KernelImpl final : public TrialBlockKernel::Impl {
       double* combined = scratch.combined.data();
       for (std::size_t layer_index = 0; layer_index < plans_.size(); ++layer_index) {
         const LayerPlan<V>& plan = plans_[layer_index];
-        // Phase 1+2: batch ELT lookups + financial terms across ELTs, then
+        // Phase 1+2: ELT lookups + financial terms across ELTs, then
         // occurrence terms — staged in event_chunk-bounded spans (the whole
         // block when unconstrained).
         std::uint64_t capture_trial = t0;
@@ -474,13 +432,10 @@ class KernelImpl final : public TrialBlockKernel::Impl {
           const std::size_t n = std::min(chunk, count - c0);
           if (plan.sparse) {
             plan.sparse->combine(events + c0, n, combined + c0);
-            stamps.charge(&PhaseBreakdown::lookup_seconds);
-          } else if (!plan.direct.empty()) {
-            combine_elts_direct<V>(plan, events + c0, n, combined + c0);
-            stamps.charge(&PhaseBreakdown::lookup_seconds);
           } else {
-            combine_elts_generic<V>(plan, events + c0, n, combined + c0, scratch.raw, stamps);
+            combine_elts_direct<V>(plan, events + c0, n, combined + c0);
           }
+          stamps.charge(&PhaseBreakdown::lookup_seconds);
           if (capture_ != nullptr) {
             // Capture between combine and the in-place occurrence terms:
             // this chunk's slice is final combined losses right here.
@@ -532,7 +487,9 @@ class KernelImpl final : public TrialBlockKernel::Impl {
   }
 
   std::vector<LayerPlan<V>> plans_;
-  std::uint64_t direct_elts_ = 0;  // ELTs across the layers on the sparse/dense-gather paths
+  // elt.<kind>.lookups of every ELT across the layers, resolved at
+  // construction; empty unless telemetry was on then.
+  std::vector<obs::Counter*> elt_lookups_;
   const yet::YearEventTable* yet_;
   CoverageWindow window_storage_;
   const CoverageWindow* window_ = nullptr;  // null = full year

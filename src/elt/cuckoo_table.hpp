@@ -29,6 +29,8 @@ class CuckooTable final : public ILossLookup {
   /// lookahead window prefetches the two probes before the compare.
   void lookup_many(const EventId* events, std::size_t count, double* out) const noexcept override;
 
+  void for_each_entry(const EntryVisitor& visit) const override;
+
   std::size_t memory_bytes() const noexcept override {
     return (buckets_[0].size() + buckets_[1].size()) * sizeof(Slot);
   }

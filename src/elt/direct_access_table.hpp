@@ -1,6 +1,5 @@
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "elt/lookup.hpp"
@@ -15,11 +14,12 @@ namespace are::elt {
 /// memory-access bound (78% of time in ELT lookups, Fig 6b).
 ///
 /// That single access only pays while the dense arrays stay in cache. The
-/// table therefore also remembers which events it holds (present_events(),
-/// sorted and unique, 4 B per entry): the trial kernel fuses a layer whose
-/// dense tables total more than core::kWideLaneFootprintBytes into one
-/// event-major core::SparseLayerTable built from these lists, and gathers
-/// from the dense arrays only for cache-resident layers.
+/// table therefore also remembers which events it holds (sorted and
+/// unique, 4 B per entry), so for_each_entry lists them without scanning
+/// the universe: the trial kernel folds a layer whose dense tables total
+/// more than core::kWideLaneFootprintBytes into one event-major
+/// core::SparseLayerTable, and gathers from the dense arrays only for
+/// cache-resident layers.
 class DirectAccessTable final : public ILossLookup {
  public:
   DirectAccessTable(const EventLossTable& table, std::size_t catalog_size);
@@ -33,6 +33,8 @@ class DirectAccessTable final : public ILossLookup {
   /// iterations ahead (the ids are known, only the loads are random).
   void lookup_many(const EventId* events, std::size_t count, double* out) const noexcept override;
 
+  void for_each_entry(const EntryVisitor& visit) const override;
+
   std::size_t memory_bytes() const noexcept override {
     return losses_.size() * sizeof(double) + present_.size() * sizeof(EventId);
   }
@@ -45,9 +47,6 @@ class DirectAccessTable final : public ILossLookup {
   /// array access explicitly.
   const double* data() const noexcept { return losses_.data(); }
   std::size_t universe() const noexcept { return losses_.size(); }
-
-  /// The ELT's event ids, sorted and unique (its records, in order).
-  std::span<const EventId> present_events() const noexcept { return present_; }
 
  private:
   std::vector<double> losses_;

@@ -1,7 +1,10 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string_view>
 
 #include "elt/event_loss_table.hpp"
@@ -36,6 +39,33 @@ constexpr std::string_view to_string(LookupKind kind) noexcept {
 
 class DirectAccessTable;
 
+/// Receives one batch of a table's entries (ILossLookup::for_each_entry).
+using EntryVisitor = std::function<void(std::span<const EventLoss>)>;
+
+/// Stages entries on the stack and hands them to an EntryVisitor a batch
+/// at a time, so a table's entry loop runs without a call per entry (and
+/// the loads of a direct table's losses overlap).
+class EntryBatcher {
+ public:
+  explicit EntryBatcher(const EntryVisitor& visit) noexcept : visit_(visit) {}
+
+  void add(EventId event, double loss) {
+    batch_[size_++] = {event, loss};
+    if (size_ == batch_.size()) flush();
+  }
+
+  /// Hands over what is staged; call after the last add().
+  void flush() {
+    if (size_ != 0) visit_({batch_.data(), size_});
+    size_ = 0;
+  }
+
+ private:
+  const EntryVisitor& visit_;
+  std::array<EventLoss, 256> batch_;
+  std::size_t size_ = 0;
+};
+
 /// Type-erased loss lookup. The engines are also templated on the concrete
 /// types for zero-overhead dispatch; this interface exists for runtime
 /// selection (CLI flags, ablation benches) and tests.
@@ -46,16 +76,22 @@ class ILossLookup {
   /// Expected loss for `event`, 0.0 when the event is not in the table.
   virtual double lookup(EventId event) const noexcept = 0;
 
-  /// Batch lookup: out[i] = lookup(events[i]) for i in [0, count). The
-  /// SIMD engine feeds lane-width rows through this for representations
-  /// that cannot be gathered directly (hash tables, decorators); the
-  /// default simply loops, and implementations may override with a tighter
-  /// loop. Must tolerate any event id, including catalog::kInvalidEvent
+  /// Batch lookup: out[i] = lookup(events[i]) for i in [0, count) — the
+  /// per-representation access the lookup benchmarks measure (the kernel
+  /// reads folded tables instead, see for_each_entry). The default simply
+  /// loops, and implementations may override with a tighter loop. Must tolerate any event id, including catalog::kInvalidEvent
   /// (batch padding), returning 0.0 for ids not in the table.
   virtual void lookup_many(const EventId* events, std::size_t count,
                            double* out) const noexcept {
     for (std::size_t i = 0; i < count; ++i) out[i] = lookup(events[i]);
   }
+
+  /// Hands every stored event to `visit`, in batches, with exactly the
+  /// bits lookup() returns for it and in no particular order. An event it
+  /// leaves out must look up as +0.0; a stored +0.0 may be listed or not.
+  /// The kernel folds a layer's ELTs into one event-major table from this
+  /// (core::SparseLayerTable), streaming, with no copy of the entries.
+  virtual void for_each_entry(const EntryVisitor& visit) const = 0;
 
   /// Resident memory of the structure in bytes (the axis the paper trades
   /// against access count).
@@ -68,8 +104,8 @@ class ILossLookup {
 
   /// Non-null iff this object really is a plain DirectAccessTable whose raw
   /// dense array the engines may read directly. Decorators (e.g.
-  /// ScaledLookup over a direct table) must return null so the engines take
-  /// the virtual path. Safer than trusting kind() for the downcast.
+  /// ScaledLookup over a direct table) must return null so the engines
+  /// fold them through for_each_entry instead. Safer than trusting kind() for the downcast.
   virtual const DirectAccessTable* as_direct_access() const noexcept { return nullptr; }
 };
 

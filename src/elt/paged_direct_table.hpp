@@ -41,6 +41,9 @@ class PagedDirectTable final : public ILossLookup {
   /// through the page table, pass two reads the slots.
   void lookup_many(const EventId* events, std::size_t count, double* out) const noexcept override;
 
+  /// Visits the slots of materialised pages whose bits are not +0.0.
+  void for_each_entry(const EntryVisitor& visit) const override;
+
   std::size_t memory_bytes() const noexcept override {
     return page_table_.size() * sizeof(std::uint32_t) +
            pages_.size() * kPageSize * sizeof(double);

@@ -37,6 +37,8 @@ class RobinHoodTable final : public ILossLookup {
   /// window hashes + prefetches several probes ahead of the compare loop.
   void lookup_many(const EventId* events, std::size_t count, double* out) const noexcept override;
 
+  void for_each_entry(const EntryVisitor& visit) const override;
+
   std::size_t memory_bytes() const noexcept override { return slots_.size() * sizeof(Slot); }
   LookupKind kind() const noexcept override { return LookupKind::kRobinHood; }
   std::size_t entry_count() const noexcept override { return entries_; }

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "elt/lookup.hpp"
 
@@ -19,7 +21,10 @@ class ScaledLookup final : public ILossLookup {
   ScaledLookup(std::shared_ptr<const ILossLookup> base, double factor)
       : base_(std::move(base)), factor_(factor) {
     if (!base_) throw std::invalid_argument("scaled lookup needs a base table");
-    if (!(factor >= 0.0)) throw std::invalid_argument("scale factor must be >= 0");
+    // A finite factor keeps every absent event at factor * 0.0 == +0.0.
+    if (!(factor >= 0.0) || !std::isfinite(factor)) {
+      throw std::invalid_argument("scale factor must be finite and >= 0");
+    }
   }
 
   double lookup(EventId event) const noexcept override {
@@ -27,11 +32,19 @@ class ScaledLookup final : public ILossLookup {
   }
 
   /// Forwards the batch to the base table's (prefetching) override, then
-  /// scales in place — so decorating an ELT keeps the fused/simd engines'
-  /// batched lookup path instead of degrading to the scalar default loop.
+  /// scales in place, instead of degrading to the scalar default loop.
   void lookup_many(const EventId* events, std::size_t count, double* out) const noexcept override {
     base_->lookup_many(events, count, out);
     for (std::size_t i = 0; i < count; ++i) out[i] *= factor_;
+  }
+
+  /// The base table's entries, each scaled as lookup() scales it.
+  void for_each_entry(const EntryVisitor& visit) const override {
+    EntryBatcher scaled(visit);
+    base_->for_each_entry([&](std::span<const EventLoss> entries) {
+      for (const EventLoss& entry : entries) scaled.add(entry.event, factor_ * entry.loss);
+    });
+    scaled.flush();
   }
 
   std::size_t memory_bytes() const noexcept override { return base_->memory_bytes(); }

@@ -34,6 +34,8 @@ class SortedTable final : public ILossLookup {
   /// group instead of serialising. Identical lo/hi updates to lookup().
   void lookup_many(const EventId* events, std::size_t count, double* out) const noexcept override;
 
+  void for_each_entry(const EntryVisitor& visit) const override;
+
   std::size_t memory_bytes() const noexcept override {
     return events_.size() * sizeof(EventId) + losses_.size() * sizeof(double);
   }

@@ -18,8 +18,9 @@ namespace {
 // Probe counters accumulate in locals inside the batch loops (a register
 // increment, noise next to the memory traffic being counted) and flush to
 // the registry once per lookup_many call, gated on obs::enabled(). The
-// scalar lookup() entry points stay uninstrumented — the kernel only calls
-// the batch path, and per-call gating there would cost more than it tells.
+// scalar lookup() entry points stay uninstrumented: per-call gating there
+// would cost more than it tells. The kernel calls neither; it counts its
+// own lookups of the folded tables.
 
 void validate_universe(const EventLossTable& table, std::size_t catalog_size) {
   if (!table.empty() && table.max_event() >= catalog_size) {
@@ -274,6 +275,50 @@ void PagedDirectTable::lookup_many(const EventId* events, std::size_t count,
     lookups.add(count);
     zero_page.add(zero_hits);
   }
+}
+
+void DirectAccessTable::for_each_entry(const EntryVisitor& visit) const {
+  EntryBatcher batch(visit);
+  for (const EventId event : present_) batch.add(event, losses_[event]);
+  batch.flush();
+}
+
+void SortedTable::for_each_entry(const EntryVisitor& visit) const {
+  EntryBatcher batch(visit);
+  for (std::size_t i = 0; i < events_.size(); ++i) batch.add(events_[i], losses_[i]);
+  batch.flush();
+}
+
+void RobinHoodTable::for_each_entry(const EntryVisitor& visit) const {
+  EntryBatcher batch(visit);
+  for (const Slot& slot : slots_) {
+    if (slot.occupied) batch.add(slot.event, slot.loss);
+  }
+  batch.flush();
+}
+
+void CuckooTable::for_each_entry(const EntryVisitor& visit) const {
+  EntryBatcher batch(visit);
+  for (const std::vector<Slot>& bucket : buckets_) {
+    for (const Slot& slot : bucket) {
+      if (slot.occupied) batch.add(slot.event, slot.loss);
+    }
+  }
+  batch.flush();
+}
+
+void PagedDirectTable::for_each_entry(const EntryVisitor& visit) const {
+  EntryBatcher batch(visit);
+  for (std::uint32_t page = 0; page < page_table_.size(); ++page) {
+    if (page_table_[page] == 0) continue;
+    const std::array<double, kPageSize>& slots = pages_[page_table_[page]];
+    for (std::uint32_t slot = 0; slot < kPageSize; ++slot) {
+      if (std::bit_cast<std::uint64_t>(slots[slot]) != 0) {
+        batch.add((page << kPageBits) | slot, slots[slot]);
+      }
+    }
+  }
+  batch.flush();
 }
 
 SortedTable::SortedTable(const EventLossTable& table, std::size_t catalog_size) {

@@ -153,8 +153,8 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, LookupEquivalence,
 
 TEST(DirectAccessTable, MemoryIsUniverseSized) {
   // The paper's trade-off made concrete: memory scales with the catalog,
-  // not the ELT (plus the 4 B event id each entry keeps for the sparse
-  // layer table).
+  // not the ELT (plus the 4 B event id each entry keeps for
+  // for_each_entry).
   const EventLossTable table({{1, 1.0}});
   const elt::DirectAccessTable small(table, 1'000);
   const elt::DirectAccessTable large(table, 100'000);
@@ -168,8 +168,11 @@ TEST(DirectAccessTable, MemoryIsUniverseSized) {
 TEST(DirectAccessTable, RemembersItsEventsInOrder) {
   const EventLossTable table({{7, 2.0}, {3, 0.0}, {900, 1.5}});
   const elt::DirectAccessTable direct(table, 1'000);
-  const std::vector<elt::EventId> expected{3, 7, 900};
-  EXPECT_TRUE(std::ranges::equal(direct.present_events(), expected));
+  std::vector<elt::EventId> events;
+  direct.for_each_entry([&](std::span<const elt::EventLoss> batch) {
+    for (const elt::EventLoss& entry : batch) events.push_back(entry.event);
+  });
+  EXPECT_EQ(events, (std::vector<elt::EventId>{3, 7, 900}));
   EXPECT_EQ(direct.entry_count(), 3u);
   // A record with loss 0.0 is still an entry of the ELT.
   EXPECT_EQ(direct.lookup(3), 0.0);

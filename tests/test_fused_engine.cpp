@@ -2,7 +2,8 @@
 // run_sequential across every lookup representation x tile size x thread
 // count x scheduling policy, determinism under dynamic scheduling, the
 // window semantics, pool reuse through the unified API, and the batch
-// lookup_many overrides against scalar lookup for every table type.
+// lookup_many overrides against scalar lookup for every table type (the
+// kernel no longer calls them; the lookup microbenchmarks do).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -120,7 +121,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(FusedEngine, MixedLookupKindsAcrossElts) {
-  // One layer mixing representations: forces the generic lookup_many path.
+  // One layer mixing representations: folded into one table at launch.
   core::Layer layer;
   layer.id = 1;
   const elt::LookupKind kinds[] = {elt::LookupKind::kDirectAccess, elt::LookupKind::kSortedVector,
@@ -254,13 +255,10 @@ TEST_P(FusedPhases, CollectPhasesFillsBreakdownAndKeepsBytes) {
   EXPECT_GT(sink.phases->layer_seconds, 0.0);
   // The loop reads the YET in place: nothing is fetched into staging.
   EXPECT_EQ(sink.phases->fetch_seconds, 0.0);
-  if (kind == elt::LookupKind::kDirectAccess) {
-    // Dense direct gathers apply the ELT terms as they read each loss.
-    EXPECT_EQ(sink.phases->financial_seconds, 0.0);
-  } else {
-    // The generic path folds each lookup_many batch through the terms.
-    EXPECT_GT(sink.phases->financial_seconds, 0.0);
-  }
+  // Both routes apply the ELT terms inside the combine: the folded table
+  // when the launch built it, the dense direct gathers as they read each
+  // loss. So no kind has a financial phase of its own.
+  EXPECT_EQ(sink.phases->financial_seconds, 0.0);
 
   // Without collect_phases the sink records the engine but no breakdown
   // (the fused hot path stays untimed by default).
@@ -274,7 +272,10 @@ TEST_P(FusedPhases, CollectPhasesFillsBreakdownAndKeepsBytes) {
 
 INSTANTIATE_TEST_SUITE_P(Lookups, FusedPhases,
                          ::testing::Values(elt::LookupKind::kRobinHood,
-                                           elt::LookupKind::kDirectAccess));
+                                           elt::LookupKind::kDirectAccess,
+                                           elt::LookupKind::kSortedVector,
+                                           elt::LookupKind::kCuckoo,
+                                           elt::LookupKind::kPagedDirect));
 
 TEST(FusedEngine, CollectPhasesWorksOnEveryKernelEngine) {
   const Portfolio portfolio = synthetic_portfolio(1, 1);

@@ -442,8 +442,8 @@ TEST_F(Service, QuoteColdThenCachedThenDelta) {
 }
 
 TEST_F(Service, DirectBookQuoteCountsEveryEltLookup) {
-  // The kernel's direct fast path bypasses lookup_many and its counter, so
-  // it counts its own lookups: layers x ELTs x events, exactly once.
+  // The kernel never calls lookup_many and its counter, so it counts its
+  // own lookups: layers x ELTs x events, exactly once.
   auto service_ptr = make_service();
   obs::set_enabled(true);
   service::QuoteRequest request;

@@ -267,7 +267,7 @@ TEST(SimdVec, UnavailableExtensionThrows) {
 TEST(SimdVec, AutoRunsWidestExtensionForMemoryBoundPortfolios) {
   // One direct ELT over a 2M-event universe: a 16 MB dense table, past
   // core::kWideLaneFootprintBytes, so the kernel runs the layer from its
-  // sparse table — and auto still picks the widest runnable extension.
+  // folded table — and auto still picks the widest runnable extension.
   Layer layer;
   layer.id = 1;
   LayerElt layer_elt;

@@ -283,8 +283,9 @@ TEST_F(Telemetry, DisabledLookupsRecordNothing) {
 TEST_F(Telemetry, KernelCountersMatchHandBuiltYet) {
   // Six trials owning {3, 1, 0, 2, 0, 0} events — 6 events total. One
   // layer, one single-entry sorted ELT: every event is looked up exactly
-  // once (lookups == events == 6) with one compare each (probes == 6),
-  // whatever the tile/task partitioning does.
+  // once (lookups == events == 6), whatever the tile/task partitioning
+  // does. The kernel reads the layer's folded table, so it never probes
+  // the sorted table (probes == 0).
   const yet::YearEventTable yet_table(
       /*events=*/{4, 9, 2, 7, 9, 4},
       /*times=*/{0.1f, 0.2f, 0.3f, 0.1f, 0.1f, 0.2f},
@@ -314,7 +315,8 @@ TEST_F(Telemetry, KernelCountersMatchHandBuiltYet) {
   // block_trials == 4 bounds every block, so at least ceil(6/4) blocks ran.
   EXPECT_GE(counter_now("kernel.blocks"), 2u);
   EXPECT_EQ(counter_now("elt.sorted_vector.lookups"), 6u);
-  EXPECT_EQ(counter_now("elt.sorted_vector.probes"), 6u);
+  EXPECT_EQ(counter_now("elt.sorted_vector.probes"), 0u);
+  EXPECT_EQ(counter_now("elt.direct_access.lookups"), 0u);
 
   // The arithmetic itself is untouched: event 9 (the only ELT entry)
   // appears once in trial 0 and once in trial 3, nowhere else.
@@ -482,8 +484,8 @@ std::uint64_t extract_ts_ns(const std::string& line) {
 }
 
 TEST_F(Telemetry, TraceJsonIsBalancedAndMonotonicPerThread) {
-  // Sorted tables: the direct-access gather fast path would bypass
-  // lookup_many (and its span) entirely.
+  // Sorted tables: the kernel folds each layer into one table at launch,
+  // under a kernel.sparse_layer_build span, and never calls lookup_many.
   const Portfolio portfolio = synthetic_portfolio(2, 2, elt::LookupKind::kSortedVector);
   const auto yet_table = small_yet(200, 25.0);
 
@@ -532,9 +534,11 @@ TEST_F(Telemetry, TraceJsonIsBalancedAndMonotonicPerThread) {
   }
 
   // The expected span names all appear at least once.
-  for (const char* name : {"kernel.launch", "elt.lookup_many", "parallel.costed_chunk"}) {
+  for (const char* name :
+       {"kernel.launch", "kernel.sparse_layer_build", "parallel.costed_chunk"}) {
     EXPECT_NE(json.find(std::string("\"name\":\"") + name + "\""), std::string::npos) << name;
   }
+  EXPECT_EQ(json.find("\"name\":\"elt.lookup_many\""), std::string::npos);
 }
 
 // --- Exporters ----------------------------------------------------------------

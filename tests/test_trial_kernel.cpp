@@ -18,6 +18,7 @@
 #include "core/analysis.hpp"
 #include "core/sparse_layer.hpp"
 #include "core/trial_kernel.hpp"
+#include "elt/scaled_lookup.hpp"
 #include "elt/synthetic.hpp"
 #include "financial/trial_accumulator.hpp"
 #include "obs/telemetry.hpp"
@@ -137,9 +138,9 @@ TEST_P(KernelBlockSizes, BitIdenticalToSeedReference) {
   config.block_trials = GetParam() == 0 ? 401 : GetParam();  // 0 stands for "all trials"
   expect_identical(reference, run_kernel(portfolio, yet_table, config));
 
-  // The generic (virtual lookup_many) path too.
-  const Portfolio generic = synthetic_portfolio(2, 2, elt::LookupKind::kRobinHood);
-  expect_identical(reference_ylt(generic, yet_table), run_kernel(generic, yet_table, config));
+  // The folded-table route too.
+  const Portfolio folded = synthetic_portfolio(2, 2, elt::LookupKind::kRobinHood);
+  expect_identical(reference_ylt(folded, yet_table), run_kernel(folded, yet_table, config));
 }
 
 INSTANTIATE_TEST_SUITE_P(Blocks, KernelBlockSizes, ::testing::Values(1, 7, 64, 0),
@@ -286,13 +287,13 @@ TEST(TrialKernel, RejectsAmbiguousDestination) {
                std::invalid_argument);
 }
 
-// --- Sparse layer path (memory-bound direct layers) ---------------------------
+// --- Sparse layer path (the pre-folded table) ---------------------------------
 //
-// Layers whose dense direct tables total more than kWideLaneFootprintBytes
-// run from a core::SparseLayerTable. Its independent oracles: the naive
-// reference above (YLT bytes), the same ELTs as robin-hood tables, which
-// take the generic lookup_many path, and reference_ground_up below
-// (combined pre-occurrence losses, signed zeros included).
+// Every layer except a cache-resident all-direct one runs from a
+// core::SparseLayerTable folded at launch from ILossLookup::for_each_entry.
+// Its independent oracles: the naive reference above (YLT bytes, virtual
+// lookup per ELT) and reference_ground_up below (combined pre-occurrence
+// losses, signed zeros included), for every ELT kind and decorator.
 
 constexpr std::size_t kWideUniverse = 700'000;  // YET ids; past every ELT universe below
 constexpr elt::EventId kInEveryElt[] = {3, 63, 64, 127, 128, 299'999};
@@ -448,10 +449,52 @@ std::vector<simd::Extension> runnable_extensions() {
   return extensions;
 }
 
-/// The shared inputs, built once (~18 MB of dense direct tables).
+constexpr elt::LookupKind kLookupKinds[] = {
+    elt::LookupKind::kDirectAccess, elt::LookupKind::kSortedVector, elt::LookupKind::kRobinHood,
+    elt::LookupKind::kCuckoo, elt::LookupKind::kPagedDirect};
+
+/// `book` with ELT e of layer l replaced by `replace(l, e, lookup)`.
+template <typename Replace>
+Portfolio with_lookups(Portfolio book, const Replace& replace) {
+  for (std::size_t l = 0; l < book.layers.size(); ++l) {
+    std::vector<core::LayerElt>& elts = book.layers[l].elts;
+    for (std::size_t e = 0; e < elts.size(); ++e) elts[e].lookup = replace(l, e, elts[e].lookup);
+  }
+  return book;
+}
+
+/// The memory-bound book in every form the folded table is built from:
+/// each LookupKind, ScaledLookup over robin-hood and over direct tables,
+/// and layers that mix direct and robin-hood ELTs.
+std::vector<std::pair<std::string, Portfolio>> memory_bound_books() {
+  std::vector<std::pair<std::string, Portfolio>> books;
+  for (const elt::LookupKind kind : kLookupKinds) {
+    books.emplace_back(elt::to_string(kind), memory_bound_portfolio(kind));
+  }
+  const Portfolio& direct = books[0].second;
+  const Portfolio& robin_hood = books[2].second;
+  const auto scaled = [](double factor) {
+    return [factor](std::size_t, std::size_t, const std::shared_ptr<const elt::ILossLookup>& base)
+               -> std::shared_ptr<const elt::ILossLookup> {
+      return std::make_shared<elt::ScaledLookup>(base, factor);
+    };
+  };
+  Portfolio scaled_robin_hood = with_lookups(robin_hood, scaled(0.7));
+  Portfolio scaled_direct = with_lookups(direct, scaled(1.3));
+  Portfolio mixed = with_lookups(direct, [&](std::size_t l, std::size_t e, const auto& lookup) {
+    return e % 2 == 0 ? lookup : robin_hood.layers[l].elts[e].lookup;
+  });
+  books.emplace_back("scaled_robin_hood", std::move(scaled_robin_hood));
+  books.emplace_back("scaled_direct", std::move(scaled_direct));
+  books.emplace_back("mixed_direct_robin_hood", std::move(mixed));
+  return books;
+}
+
+/// The shared inputs, built once (~37 MB: the direct and paged books hold
+/// ~18 MB of tables each).
 struct MemoryBoundInputs {
-  Portfolio direct = memory_bound_portfolio(elt::LookupKind::kDirectAccess);
-  Portfolio robin_hood = memory_bound_portfolio(elt::LookupKind::kRobinHood);
+  std::vector<std::pair<std::string, Portfolio>> books = memory_bound_books();
+  const Portfolio& direct = books[0].second;
   yet::YearEventTable yet_table = memory_bound_yet();
 };
 
@@ -460,44 +503,138 @@ const MemoryBoundInputs& memory_bound() {
   return inputs;
 }
 
-TEST(SparseLayerPath, TakenOnlyByMemoryBoundAllDirectLayers) {
+TEST(SparseLayerPath, TakenByEveryLayerButCacheResidentAllDirectOnes) {
   const MemoryBoundInputs& in = memory_bound();
-  for (const core::Layer& layer : in.direct.layers) {
-    EXPECT_TRUE(core::SparseLayerTable::wanted(layer)) << "layer " << layer.id;
-  }
-  for (const core::Layer& layer : in.robin_hood.layers) {
-    EXPECT_FALSE(core::SparseLayerTable::wanted(layer)) << "layer " << layer.id;
+  for (const auto& [name, book] : in.books) {
+    for (const core::Layer& layer : book.layers) {
+      EXPECT_TRUE(core::SparseLayerTable::wanted(layer)) << name << " layer " << layer.id;
+    }
   }
   for (const core::Layer& layer : synthetic_portfolio(1, 3).layers) {
     EXPECT_FALSE(core::SparseLayerTable::wanted(layer));  // 480 KB: dense gathers
+  }
+  for (const elt::LookupKind kind : kLookupKinds) {
+    if (kind == elt::LookupKind::kDirectAccess) continue;
+    for (const core::Layer& layer : synthetic_portfolio(1, 3, kind).layers) {
+      EXPECT_TRUE(core::SparseLayerTable::wanted(layer)) << elt::to_string(kind);
+    }
+  }
+  // One decorated ELT takes a small direct layer off the dense gathers.
+  core::Layer scaled = synthetic_portfolio(1, 3).layers[0];
+  scaled.elts[1].lookup = std::make_shared<elt::ScaledLookup>(scaled.elts[1].lookup, 1.0);
+  EXPECT_TRUE(core::SparseLayerTable::wanted(scaled));
+}
+
+TEST(SparseLayerPath, EveryTableEnumeratesTheBitsItLooksUp) {
+  // The synthetic losses plus kInEveryElt and a 0.0 record (kZeroLoss),
+  // and a -0.0 record at event 5, which lookup() returns as -0.0.
+  constexpr std::size_t kTableUniverse = 300'000;
+  const elt::EventLossTable base = memory_bound_elt(kTableUniverse, 7);
+  std::vector<elt::EventLoss> records(base.records().begin(), base.records().end());
+  std::erase_if(records, [](const elt::EventLoss& record) { return record.event == 5; });
+  records.push_back({5, -0.0});
+  const elt::EventLossTable table(std::move(records));
+
+  std::vector<std::pair<std::string, std::shared_ptr<const elt::ILossLookup>>> lookups;
+  for (const elt::LookupKind kind : kLookupKinds) {
+    lookups.emplace_back(elt::to_string(kind), elt::make_lookup(kind, table, kTableUniverse));
+  }
+  lookups.emplace_back("scaled_robin_hood",
+                       std::make_shared<elt::ScaledLookup>(lookups[2].second, 0.7));
+  lookups.emplace_back("scaled_direct",
+                       std::make_shared<elt::ScaledLookup>(lookups[0].second, 1.3));
+
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const auto& [name, lookup] : lookups) {
+    SCOPED_TRACE(name);
+    std::vector<bool> listed(kTableUniverse + 64, false);
+    lookup->for_each_entry([&](std::span<const elt::EventLoss> batch) {
+      for (const auto& [event, loss] : batch) {
+        ASSERT_LT(event, kTableUniverse);
+        EXPECT_FALSE(listed[event]) << "event " << event << " listed twice";
+        listed[event] = true;
+        EXPECT_EQ(bits(loss), bits(lookup->lookup(event))) << "event " << event;
+      }
+    });
+    // Every stored loss that is not +0.0 is listed; the -0.0 among them.
+    for (const elt::EventLoss& record : table.records()) {
+      if (bits(record.loss) != 0) {
+        EXPECT_TRUE(listed[record.event]) << "event " << record.event;
+      }
+    }
+    EXPECT_TRUE(listed[5]);
+    // Everything left out, past the universe included, looks up as +0.0.
+    for (elt::EventId event = 0; event < listed.size(); ++event) {
+      if (!listed[event]) {
+        EXPECT_EQ(bits(lookup->lookup(event)), 0u) << "event " << event;
+      }
+    }
   }
 }
 
 TEST(SparseLayerPath, BitIdenticalToOraclesOnEveryExtensionAndSchedule) {
   const MemoryBoundInputs& in = memory_bound();
-  const auto reference = reference_ylt(in.direct, in.yet_table);
-  const auto ground_up = reference_ground_up(in.direct, in.yet_table);
-  for (const simd::Extension extension : runnable_extensions()) {
-    for (const KernelLaunch::Schedule schedule :
-         {KernelLaunch::Schedule::kSerial, KernelLaunch::Schedule::kPool}) {
-      SCOPED_TRACE(std::string(core::to_string(extension)) +
-                   (schedule == KernelLaunch::Schedule::kPool ? " pool" : " serial"));
-      TrialKernelConfig config;
-      config.extension = extension;
-      config.block_trials = 37;
-      const KernelLaunch launch{.schedule = schedule, .num_threads = 3, .chunk = 50};
-      core::GroundUpLossCache sparse(2, in.yet_table);
-      core::GroundUpLossCache generic(2, in.yet_table);
-      config.ground_up_capture = &sparse;
-      expect_identical(reference, run_kernel(in.direct, in.yet_table, config, launch));
-      config.ground_up_capture = &generic;
-      expect_identical(reference, run_kernel(in.robin_hood, in.yet_table, config, launch));
-      // Both layers of both paths, the -0.0-limit ELTs included: the
-      // vector lanes of the lookup_many path round like the scalar terms.
-      expect_ground_up(ground_up, sparse, in.yet_table);
-      expect_ground_up(ground_up, generic, in.yet_table);
+  for (const auto& [name, book] : in.books) {
+    const auto reference = reference_ylt(book, in.yet_table);
+    const auto ground_up = reference_ground_up(book, in.yet_table);
+    for (const simd::Extension extension : runnable_extensions()) {
+      for (const KernelLaunch::Schedule schedule :
+           {KernelLaunch::Schedule::kSerial, KernelLaunch::Schedule::kPool}) {
+        SCOPED_TRACE(name + " " + std::string(core::to_string(extension)) +
+                     (schedule == KernelLaunch::Schedule::kPool ? " pool" : " serial"));
+        TrialKernelConfig config;
+        config.extension = extension;
+        config.block_trials = 37;
+        const KernelLaunch launch{.schedule = schedule, .num_threads = 3, .chunk = 50};
+        core::GroundUpLossCache capture(2, in.yet_table);
+        config.ground_up_capture = &capture;
+        expect_identical(reference, run_kernel(book, in.yet_table, config, launch));
+        // Both layers, the -0.0-limit ELTs included: every row folds to
+        // the dense fold's signed zero.
+        expect_ground_up(ground_up, capture, in.yet_table);
+      }
     }
   }
+  // The representations agree with each other: only the scaled books
+  // differ from the direct one.
+  const auto direct = reference_ylt(in.direct, in.yet_table);
+  for (const auto& [name, book] : in.books) {
+    if (name.starts_with("scaled")) continue;
+    SCOPED_TRACE(name);
+    expect_identical(direct, run_kernel(book, in.yet_table, {}));
+  }
+}
+
+TEST(SparseLayerPath, EmptyEltsFoldToPositiveZeros) {
+  const MemoryBoundInputs& in = memory_bound();
+  Portfolio book;
+  book.layers.push_back({.id = 1});
+  for (const elt::LookupKind kind : kLookupKinds) {
+    book.layers[0].elts.push_back({elt::make_lookup(kind, elt::EventLossTable(), 1'000), {}});
+  }
+  expect_identical(reference_ylt(book, in.yet_table), run_kernel(book, in.yet_table, {}));
+}
+
+TEST(SparseLayerPath, CountsLookupsUnderEachEltsKindAndNeverProbes) {
+  const MemoryBoundInputs& in = memory_bound();
+  // Mixed book: layer 1 holds direct, robin-hood, direct ELTs; layer 2
+  // direct, robin-hood. A scaled robin-hood ELT counts as robin-hood.
+  Portfolio book = in.books.back().second;
+  ASSERT_EQ(in.books.back().first, "mixed_direct_robin_hood");
+  book.layers[1].elts[0].lookup =
+      std::make_shared<elt::ScaledLookup>(book.layers[1].elts[1].lookup, 0.5);
+  core::AnalysisConfig config;
+  config.engine = core::EngineKind::kFused;
+  config.num_threads = 3;
+  config.telemetry.counters = true;
+  obs::TelemetryRegistry::global().reset();
+  expect_identical(reference_ylt(book, in.yet_table), core::run({book, in.yet_table, config}));
+  const obs::Snapshot counters = obs::TelemetryRegistry::global().snapshot();
+  const std::uint64_t events = in.yet_table.total_events();
+  EXPECT_EQ(counters.counter_value("elt.direct_access.lookups"), 2 * events);
+  EXPECT_EQ(counters.counter_value("elt.robin_hood.lookups"), 3 * events);
+  EXPECT_EQ(counters.counter_value("elt.robin_hood.probes"), 0u);
+  obs::TelemetryRegistry::global().reset();
 }
 
 TEST(SparseLayerPath, WindowEventChunksAndShardedSinkKeepTheBytes) {
@@ -597,7 +734,7 @@ TEST(SparseLayerPath, CollectPhasesTimesTheProductionLoop) {
   expect_identical(core::run_sequential(in.direct, in.yet_table),
                    core::run({in.direct, in.yet_table, config}));
 
-  // The timed run takes the sparse rows, as production does: no
+  // The timed run takes the folded rows, as production does: no
   // lookup_many batch, and the kernel counts every ELT lookup once.
   EXPECT_EQ(trace_spans("elt.lookup_many"), 0u);
   std::uint64_t elts = 0;

@@ -2,6 +2,8 @@
 // core::run front door) and the severity-stress decorator.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/analysis.hpp"
 #include "elt/scaled_lookup.hpp"
 #include "elt/synthetic.hpp"
@@ -148,7 +150,8 @@ TEST(ScaledLookup, ScalesEveryLoss) {
 }
 
 TEST(ScaledLookup, IsNotEligibleForDirectFastPath) {
-  // The decorator must force the virtual path even over a direct table.
+  // The decorator must keep a direct table off the dense gathers: the
+  // kernel folds it through for_each_entry instead.
   elt::SyntheticEltConfig config;
   config.catalog_size = 1'000;
   config.entries = 100;
@@ -238,6 +241,11 @@ TEST(ScaledLookup, RejectsBadConstruction) {
   const auto base = std::shared_ptr<const elt::ILossLookup>(
       elt::make_lookup(elt::LookupKind::kSortedVector, elt::make_synthetic_elt(config), 10));
   EXPECT_THROW(elt::ScaledLookup(base, -0.5), std::invalid_argument);
+  // An infinite factor would look every absent event up as inf * 0.0 = NaN.
+  EXPECT_THROW(elt::ScaledLookup(base, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(elt::ScaledLookup(base, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -35,7 +35,7 @@
 //              --simd-ext auto|scalar|sse2|avx2|avx512|neon (simd/fused)
 //              --window FROM:TO (any engine; fractions of the year)
 //              --phases (Fig-6b phase breakdown; any engine)
-//              --lookup direct|sorted|robinhood|cuckoo
+//              --lookup direct|sorted|robinhood|cuckoo|paged
 // Output:      --output materialized|sharded — sharded stores the YLT in
 //              trial-range shards that spill to disk under a memory budget
 //              (out-of-core; every engine), with
@@ -140,7 +140,7 @@ common options:
   window        --window FROM:TO  (fractions of the year, for --engine windowed|fused)
   phases        --phases  (Fig-6b phase breakdown to stderr, any engine; timed in
                 the loop every run executes, so output bytes do not change)
-  lookup        --lookup direct|sorted|robinhood|cuckoo
+  lookup        --lookup direct|sorted|robinhood|cuckoo|paged
   output        --output materialized|sharded  (sharded = out-of-core YLT)
                 --shard-trials N --spill-dir PATH --memory-budget-mb M (0 = unlimited)
   telemetry     --telemetry json|csv|prom|trace  (runtime counters / trace spans,
@@ -171,6 +171,7 @@ elt::LookupKind parse_lookup(const Args& args) {
   if (name == "sorted") return elt::LookupKind::kSortedVector;
   if (name == "robinhood") return elt::LookupKind::kRobinHood;
   if (name == "cuckoo") return elt::LookupKind::kCuckoo;
+  if (name == "paged") return elt::LookupKind::kPagedDirect;
   throw std::runtime_error("unknown --lookup '" + name + "'");
 }
 
